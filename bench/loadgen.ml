@@ -148,6 +148,9 @@ let new_result () =
     max_late_s = 0.0;
   }
 
+(* Both channels share one fd, so a client closes only [oc] (which
+   flushes first): a second close through [ic] could hit the same fd
+   number just reused by another client thread's socket. *)
 let connect () =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string !host, !port));
@@ -180,8 +183,7 @@ let run_client_closed ~client ~n r =
     observe_s r (t -. send_t.(!rcvd));
     incr rcvd
   done;
-  close_out_noerr oc;
-  close_in_noerr ic
+  close_out_noerr oc
 
 (* Open loop: slot [k] of the aggregate schedule fires [k * period]
    after [t0]; client [c] owns every [clients]-th slot. The period is
@@ -231,8 +233,7 @@ let run_client_open ~client ~n ~rate ~t0 r =
     flush oc
   done;
   Thread.join reader;
-  close_out_noerr oc;
-  close_in_noerr ic
+  close_out_noerr oc
 
 let () =
   Arg.parse speclist

@@ -42,7 +42,6 @@ type args = {
   fleet_bench : bool;
   fleet_shards : int;
   fleet_clients : int;
-  min_batch_speedup : float option;
 }
 
 let usage () =
@@ -55,7 +54,7 @@ let usage () =
      [--replicas N] [--min-cold-speedup X] [--max-cold-seconds S]\n\
     \       bench/main.exe --evolve-bench [--releases R] [--packages N]\n\
     \       bench/main.exe --query-bench --fleet-bench [--fleet-shards N] \
-     [--fleet-clients C] [--min-batch-speedup X]";
+     [--fleet-clients C]";
   exit 2
 
 let parse_args () =
@@ -77,8 +76,7 @@ let parse_args () =
   and releases = ref 20
   and fleet_bench = ref false
   and fleet_shards = ref 3
-  and fleet_clients = ref 16
-  and min_batch_speedup = ref None in
+  and fleet_clients = ref 16 in
   let rec go = function
     | [] -> ()
     | "--no-micro" :: rest ->
@@ -205,17 +203,6 @@ let parse_args () =
     | [ "--fleet-clients" ] ->
       prerr_endline "bench: --fleet-clients expects an argument";
       usage ()
-    | "--min-batch-speedup" :: x :: rest ->
-      (match float_of_string_opt x with
-       | Some v when v > 0.0 -> min_batch_speedup := Some v
-       | Some _ | None ->
-         Printf.eprintf
-           "bench: --min-batch-speedup expects a positive number, got %S\n" x;
-         usage ());
-      go rest
-    | [ "--min-batch-speedup" ] ->
-      prerr_endline "bench: --min-batch-speedup expects an argument";
-      usage ()
     | "--releases" :: n :: rest ->
       (match int_of_string_opt n with
        | Some v when v >= 0 -> releases := v
@@ -256,7 +243,6 @@ let parse_args () =
     fleet_bench = !fleet_bench;
     fleet_shards = !fleet_shards;
     fleet_clients = !fleet_clients;
-    min_batch_speedup = !min_batch_speedup;
   }
 
 let count_loc () =
@@ -646,22 +632,18 @@ type cold_results = {
   cr_replica_rss_kb : float;
 }
 
-(* Results of the fleet comparison (see the fleet-bench section
-   below): per-shard resident memory with full vs range-sliced
-   images, and scatter throughput/p99 with micro-batching on vs
-   off. *)
+(* Results of the fleet bench (see the fleet-bench section below):
+   per-shard resident memory with full vs range-sliced images, and
+   scatter throughput and p99 over the sliced fleet. *)
 type fleet_results = {
   fl_shards : int;
   fl_image_bytes : int;
   fl_sliced_bytes_total : int;
   fl_rss_full_kb : float;
   fl_rss_sliced_kb : float;
-  fl_batched_qps : float;
-  fl_unbatched_qps : float;
-  fl_batch_speedup : float;
+  fl_sat_qps : float;
   fl_open_rate_qps : float;
-  fl_batched_p99_ms : float;  (* open loop at [fl_open_rate_qps] *)
-  fl_unbatched_p99_ms : float;  (* same rate, coalescing off *)
+  fl_open_p99_ms : float;  (* open loop at [fl_open_rate_qps] *)
 }
 
 let stage_seconds names =
@@ -840,12 +822,9 @@ let write_query_json ~packages ~queries ~indexed_s ~oracle_s ~speedup
      pf "  \"fleet_sliced_bytes_total\": %d,\n" f.fl_sliced_bytes_total;
      pf "  \"fleet_rss_full_kb\": %.1f,\n" f.fl_rss_full_kb;
      pf "  \"fleet_rss_sliced_kb\": %.1f,\n" f.fl_rss_sliced_kb;
-     pf "  \"fleet_batched_qps\": %.1f,\n" f.fl_batched_qps;
-     pf "  \"fleet_unbatched_qps\": %.1f,\n" f.fl_unbatched_qps;
-     pf "  \"fleet_batch_speedup\": %.2f,\n" f.fl_batch_speedup;
+     pf "  \"fleet_sat_qps\": %.1f,\n" f.fl_sat_qps;
      pf "  \"fleet_open_rate_qps\": %.1f,\n" f.fl_open_rate_qps;
-     pf "  \"fleet_batched_p99_ms\": %.3f,\n" f.fl_batched_p99_ms;
-     pf "  \"fleet_unbatched_p99_ms\": %.3f,\n" f.fl_unbatched_p99_ms);
+     pf "  \"fleet_open_p99_ms\": %.3f,\n" f.fl_open_p99_ms);
   pf "  \"codec_json_ns\": %.1f,\n" codec.cb_json_ns;
   pf "  \"codec_bin_ns\": %.1f,\n" codec.cb_bin_ns;
   pf "  \"codec_speedup\": %.2f,\n" codec.cb_speedup;
@@ -1102,34 +1081,28 @@ let run_cold_start (args : args) ~env ~source_key ~subsets =
      when each maps only its range slice (the slices are cut with
      [save_image ~range] over the exact [shard_ranges] partition the
      router scatters over, same as [lapis fleet --slice]);
-   - throughput: scatter qps and p99 with the router's micro-batching
-     on vs off, at saturation — [fleet_clients] closed-loop clients
-     over an in-process fleet of [fleet_shards] single-worker servers
-     each serving a loaded slice. Single-worker shards are the point:
-     batching's win is evaluating the whole coalesced window in one
-     worker slot (the serve batch arm fans it out over domains)
-     instead of queueing N sequential jobs behind one worker.
+   - latency: scatter qps at saturation — [fleet_clients] closed-loop
+     clients over a fleet of [fleet_shards] single-worker shard
+     processes, each serving a loaded slice — then scatter p99 at a
+     fixed open-loop rate below it.
 
-   Shard and router response caches are disabled so the second
-   (unbatched) pass cannot answer from entries the batched pass
-   warmed. Every routed answer is checked against the single-process
-   index within 1e-12 before it counts — a wrong fast fleet fails the
-   bench, it does not win it. *)
+   Shard and router response caches are disabled so later passes
+   cannot answer from entries earlier ones warmed. Every routed
+   answer is checked against the single-process index within 1e-12
+   before it counts — a wrong fast fleet fails the bench, it does not
+   win it. *)
 
 (* Drive [clients] binary-codec connections against the router on
    [port], each sending [per_client] completeness requests drawn
    round-robin from [reqs]/[expected]. Two disciplines:
 
    - closed loop (rate = None): a fixed window outstanding per client
-     — the saturation the batching throughput comparison wants;
-     latency from the actual send.
+     — saturation; latency from the actual send.
    - open loop (rate = Some r): requests are scheduled at the fixed
      aggregate rate [r] on an integer-nanosecond grid interleaved
      across clients, and latency is charged from the *scheduled* send
      — so queueing the router causes is billed to it, not hidden
-     (no coordinated omission). This is the regime where coalescing
-     earns its keep: an arrival burst leaves for each shard as one
-     frame instead of a convoy of singles.
+     (no coordinated omission).
 
    The binary codec is the deliberate choice: the JSON client codec
    costs an order of magnitude more CPU per exchange (see the codec
@@ -1196,6 +1169,9 @@ let drive_fleet ~clients ~per_client ~reqs ~expected ?rate ~port () =
      with Unix.Unix_error _ -> ());
     (Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
   in
+  (* Both channels share one fd: closing [oc] flushes and closes it
+     once. Closing [ic] too would close the fd number a second time,
+     by then possibly another client thread's fresh socket. *)
   let run_closed client =
     let ic, oc = connect () in
     let window = 8 in
@@ -1215,8 +1191,7 @@ let drive_fleet ~clients ~per_client ~reqs ~expected ?rate ~port () =
       incr rcvd;
       check client j frame
     done;
-    close_out_noerr oc;
-    close_in_noerr ic
+    close_out_noerr oc
   in
   (* Open loop: slot [client + j*clients] of the aggregate schedule
      fires that many periods after [t0]; integer-nanosecond slot
@@ -1254,8 +1229,7 @@ let drive_fleet ~clients ~per_client ~reqs ~expected ?rate ~port () =
       flush oc
     done;
     Thread.join reader;
-    close_out_noerr oc;
-    close_in_noerr ic
+    close_out_noerr oc
   in
   let t0 =
     (* open loop: anchor the schedule slightly ahead so every sender
@@ -1276,8 +1250,9 @@ let drive_fleet ~clients ~per_client ~reqs ~expected ?rate ~port () =
   List.iter Thread.join threads;
   let wall = Unix.gettimeofday () -. t0 in
   if !errors > 0 then begin
-    Printf.eprintf "bench: FAIL: %d fleet response error(s)\n" !errors;
-    exit 1
+    (* raise, not exit: the callers' [Fun.protect] stop the router and
+       the shard processes on the way out *)
+    failwith (Printf.sprintf "bench: FAIL: %d fleet response error(s)" !errors)
   end;
   Array.sort compare lats;
   let total = clients * per_client in
@@ -1394,15 +1369,10 @@ let run_fleet_bench (args : args) ~env ~source_key ~subsets =
   let expected = Array.map (Engine.eval_syscalls idx) subsets_a in
   let clients = args.fleet_clients in
   let per_client = max 1 (args.queries / clients) in
-  let with_router ~batching f =
+  let with_router f =
     match
       Router.start
-        ~config:
-          { Router.default with
-            batching;
-            cache_capacity = 0;
-            workers = clients;
-          }
+        ~config:{ Router.default with cache_capacity = 0; workers = clients }
         specs
     with
     | Error msg ->
@@ -1412,35 +1382,26 @@ let run_fleet_bench (args : args) ~env ~source_key ~subsets =
       Fun.protect ~finally:(fun () -> Router.stop router) @@ fun () ->
       f (Router.port router)
   in
-  let batches0 = Core.Perf.Stage.counter "router:batches" in
-  let bmsgs0 = Core.Perf.Stage.counter "router:batched-msgs" in
-  let batched_qps, batched_sat_p99_ms =
-    with_router ~batching:true (fun port ->
+  let saturate () =
+    with_router (fun port ->
         drive_fleet ~clients ~per_client ~reqs ~expected ~port ())
   in
-  let batches = Core.Perf.Stage.counter "router:batches" - batches0 in
-  let bmsgs = Core.Perf.Stage.counter "router:batched-msgs" - bmsgs0 in
-  let unbatched_qps, unbatched_sat_p99_ms =
-    with_router ~batching:false (fun port ->
-        drive_fleet ~clients ~per_client ~reqs ~expected ~port ())
-  in
-  let speedup = batched_qps /. Float.max unbatched_qps 1e-9 in
-  (* The tentpole's latency gate: scatter p99 at one fixed open-loop
-     rate, batching on vs off. The rate sits below both modes'
-     saturation so the schedule is sustainable and the comparison
-     isolates how each mode absorbs arrival bursts rather than who
-     saturates first. *)
-  let open_rate =
-    Float.max 1.0 (0.7 *. Float.min batched_qps unbatched_qps)
-  in
+  (* The open-loop rate sits well below saturation so the schedule is
+     sustainable and the p99 measures how the fleet absorbs arrival
+     bursts. Closed-loop clients send in windows, which the router and
+     shards serve more cheaply than the same load arriving one request
+     at a time: on a 2-vCPU host, 0.7x of the closed-loop rate already
+     overran the router's queue. *)
+  let sat_qps, sat_p99_ms = saturate () in
+  let open_rate = Float.max 1.0 (0.5 *. sat_qps) in
   let rate = Some open_rate in
   (* A sub-second open-loop run puts ~20 samples above p99, so one
      scheduler hiccup owns the tail; the median of three trials is the
      stable estimate. *)
-  let open_p99 ~batching =
+  let open_p99_ms =
     let trials =
       List.init 3 (fun _ ->
-          with_router ~batching (fun port ->
+          with_router (fun port ->
               snd
                 (drive_fleet ~clients ~per_client ~reqs ~expected ?rate ~port
                    ())))
@@ -1449,35 +1410,24 @@ let run_fleet_bench (args : args) ~env ~source_key ~subsets =
     | [ _; med; _ ] -> med
     | _ -> assert false
   in
-  let batched_p99_ms = open_p99 ~batching:true in
-  let unbatched_p99_ms = open_p99 ~batching:false in
   Printf.printf
     "Fleet bench: %d shards over %d packages, %d clients x %d requests\n\
     \  image: full %d B, slices %d B total (%.2fx)\n\
     \  replica RSS: full %.0f kB, sliced %.0f kB per shard\n\
-    \  saturation, batched:   %.0f q/s, p99 %.2f ms (%d batch frames, \
-     %.1f msgs/batch)\n\
-    \  saturation, unbatched: %.0f q/s, p99 %.2f ms\n\
-    \  batching speedup: %.2fx\n\
-    \  open loop at %.0f q/s: p99 batched %.2f ms, unbatched %.2f ms\n%!"
+    \  saturation: %.0f q/s, p99 %.2f ms\n\
+    \  open loop at %.0f q/s: p99 %.2f ms\n%!"
     shards n clients per_client image_bytes sliced_bytes_total
     (float_of_int sliced_bytes_total /. float_of_int (max 1 image_bytes))
-    rss_full_kb rss_sliced_kb batched_qps batched_sat_p99_ms batches
-    (float_of_int bmsgs /. float_of_int (max 1 batches))
-    unbatched_qps unbatched_sat_p99_ms speedup open_rate batched_p99_ms
-    unbatched_p99_ms;
+    rss_full_kb rss_sliced_kb sat_qps sat_p99_ms open_rate open_p99_ms;
   {
     fl_shards = shards;
     fl_image_bytes = image_bytes;
     fl_sliced_bytes_total = sliced_bytes_total;
     fl_rss_full_kb = rss_full_kb;
     fl_rss_sliced_kb = rss_sliced_kb;
-    fl_batched_qps = batched_qps;
-    fl_unbatched_qps = unbatched_qps;
-    fl_batch_speedup = speedup;
+    fl_sat_qps = sat_qps;
     fl_open_rate_qps = open_rate;
-    fl_batched_p99_ms = batched_p99_ms;
-    fl_unbatched_p99_ms = unbatched_p99_ms;
+    fl_open_p99_ms = open_p99_ms;
   }
 
 let run_query_bench (args : args) =
@@ -1640,14 +1590,6 @@ let run_query_bench (args : args) =
           c.cr_map_s limit;
         exit 1
       | _ -> ()));
-  (match fleet, args.min_batch_speedup with
-   | Some f, Some want when f.fl_batch_speedup < want ->
-     Printf.eprintf
-       "bench: FAIL: batched scatter speedup %.2fx below the required \
-        %.2fx\n"
-       f.fl_batch_speedup want;
-     exit 1
-   | _ -> ());
   print_endline "Query bench: OK"
 
 (* --- evolve bench --------------------------------------------------

@@ -1143,15 +1143,6 @@ let fleet_cmd =
     in
     Arg.(value & flag & info [ "slice" ] ~doc)
   in
-  let no_batch_flag =
-    let doc =
-      "Disable scatter-path micro-batching: same-shard messages queued \
-       during an in-flight write leave as individual frames instead of \
-       coalescing into one $(i,batch) frame. For A/B measurement; \
-       batching is on by default."
-    in
-    Arg.(value & flag & info [ "no-batch" ] ~doc)
-  in
   (* Poll until the shard accepts TCP connections (it binds only once
      its index is loaded, so accept implies ready). *)
   let wait_ready ~port ~deadline =
@@ -1171,7 +1162,7 @@ let fleet_cmd =
     in
     go ()
   in
-  let run snapshot base tcp shards connect workers slice no_batch stats =
+  let run snapshot base tcp shards connect workers slice stats =
     setup_logs ();
     if slice && connect <> None then begin
       Printf.eprintf
@@ -1260,12 +1251,7 @@ let fleet_cmd =
           ports;
         List.map (fun p -> { Router.sh_host = "127.0.0.1"; sh_port = p }) ports
     in
-    match
-      Router.start
-        ~config:
-          { Router.default with port = tcp; batching = not no_batch }
-        specs
-    with
+    match Router.start ~config:{ Router.default with port = tcp } specs with
     | Error msg ->
       Printf.eprintf "lapis: %s\n" msg;
       kill_spawned ();
@@ -1293,16 +1279,14 @@ let fleet_cmd =
      out as per-shard package-range partials and merge (within 1e-12 of a \
      single process); point queries round-robin. With $(b,--slice) each \
      shard maps only its own range-sliced image (~N-fold smaller \
-     footprint); same-shard traffic micro-batches into single $(i,batch) \
-     frames under load (see $(b,--no-batch)). The router sheds with \
-     structured $(i,overloaded) errors under saturation and answers \
-     $(i,degraded) errors while a shard is down."
+     footprint). The router sheds with structured $(i,overloaded) \
+     errors under saturation and answers $(i,degraded) errors while a \
+     shard is down."
   in
   Cmd.v
     (Cmd.info "fleet" ~doc)
     Term.(const run $ snapshot_arg $ base_arg $ tcp_arg $ shards_arg
-          $ connect_arg $ workers_arg $ slice_flag $ no_batch_flag
-          $ stats_arg)
+          $ connect_arg $ workers_arg $ slice_flag $ stats_arg)
 
 let () =
   let doc =

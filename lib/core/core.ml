@@ -97,6 +97,7 @@ module Query = struct
   module Protocol = Lapis_query.Protocol
   module Serve = Lapis_query.Serve
   module Lru = Lapis_query.Lru
+  module Frontend = Lapis_query.Frontend
   module Server = Lapis_query.Server
   module Router = Lapis_query.Router
 end

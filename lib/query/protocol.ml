@@ -61,10 +61,9 @@ type req =
     }
   | Top of int
   | Dependents of { api : string; limit : int option }
-  | Batch of request list
   | Unknown of string
 
-and request = { rq_id : Json.t option; rq_op : req }
+type request = { rq_id : Json.t option; rq_op : req }
 
 let op_name = function
   | Hello _ -> "hello"
@@ -75,7 +74,6 @@ let op_name = function
   | Partial_completeness _ -> "partial-completeness"
   | Top _ -> "top"
   | Dependents _ -> "dependents"
-  | Batch _ -> "batch"
   | Unknown s -> s
 
 type err = { e_kind : string; e_msg : string }
@@ -107,10 +105,8 @@ type reply =
   | Partial_r of { lo : int; hi : int; num : float; den : float }
   | Top_r of Query.ranked list
   | Dependents_r of { api : string; packages : (string * float) list }
-  | Batch_r of response list
-      (** one response per batched request, in request order *)
 
-and response = { rs_id : Json.t option; rs_result : (reply, err) result }
+type response = { rs_id : Json.t option; rs_result : (reply, err) result }
 
 let error_response ?id ~kind msg =
   { rs_id = id; rs_result = Error { e_kind = kind; e_msg = msg } }
@@ -175,7 +171,7 @@ let int_field j key =
 
 let ( let* ) r f = match r with Ok v -> f v | Error e -> Error e
 
-let rec req_of_json j : (req, string * string) result =
+let req_of_json j : (req, string * string) result =
   match Json.member "op" j with
   | None -> Error (bad_request, "missing \"op\" field")
   | Some op_j ->
@@ -216,29 +212,9 @@ let rec req_of_json j : (req, string * string) result =
           let* api = str_field j "api" in
           let limit = Option.bind (Json.member "limit" j) Json.to_int in
           Ok (Dependents { api; limit })
-        | "batch" ->
-          (match Json.member "requests" j with
-           | None -> Error (bad_request, "missing \"requests\" field")
-           | Some v ->
-             (match Json.to_list v with
-              | None -> Error (bad_request, "\"requests\" must be an array")
-              | Some items ->
-                let rec go acc = function
-                  | [] -> Ok (Batch (List.rev acc))
-                  | x :: rest ->
-                    (match request_of_json x with
-                     | Ok { rq_op = Batch _; _ } ->
-                       Error (bad_request, "batch requests may not nest")
-                     | Ok r -> go (r :: acc) rest
-                     | Error { rs_result = Error { e_kind; e_msg }; _ } ->
-                       Error (e_kind, "in batch: " ^ e_msg)
-                     | Error _ ->
-                       Error (bad_request, "malformed request in \"requests\""))
-                in
-                go [] items))
         | other -> Ok (Unknown other)))
 
-and request_of_json j : (request, response) result =
+let request_of_json j : (request, response) result =
   let id = Json.member "id" j in
   match req_of_json j with
   | Ok op -> Ok { rq_id = id; rq_op = op }
@@ -250,7 +226,7 @@ let phase_fields phase =
 
 let num n = Json.Num (float_of_int n)
 
-let rec json_of_req = function
+let json_of_req = function
   | Hello versions ->
     [ ("op", Json.Str "hello");
       ("versions", Json.Arr (List.map num versions)) ]
@@ -275,12 +251,9 @@ let rec json_of_req = function
      (match limit with
       | None -> []
       | Some l -> [ ("limit", num l) ]))
-  | Batch reqs ->
-    [ ("op", Json.Str "batch");
-      ("requests", Json.Arr (List.map json_of_request reqs)) ]
   | Unknown s -> [ ("op", Json.Str s) ]
 
-and json_of_request { rq_id; rq_op } =
+let json_of_request { rq_id; rq_op } =
   let fields = json_of_req rq_op in
   match rq_id with
   | None -> Json.Obj fields
@@ -305,7 +278,6 @@ let reply_op = function
   | Partial_r _ -> "partial-completeness"
   | Top_r _ -> "top"
   | Dependents_r _ -> "dependents"
-  | Batch_r _ -> "batch"
 
 let ranked_json (r : Query.ranked) =
   Json.Obj
@@ -326,7 +298,7 @@ let hist_json (s : Histogram.summary) =
       ("max", Json.Num s.Histogram.h_max);
     ]
 
-let rec reply_fields = function
+let reply_fields = function
   | Hello_r { version; codecs } ->
     [ ("version", num version);
       ("codecs", Json.Arr (List.map (fun c -> Json.Str c) codecs)) ]
@@ -365,10 +337,8 @@ let rec reply_fields = function
                Json.Obj
                  [ ("package", Json.Str name); ("prob", Json.Num prob) ])
              packages) ) ]
-  | Batch_r rs ->
-    [ ("responses", Json.Arr (List.map json_of_response rs)) ]
 
-and json_of_response { rs_id; rs_result } =
+let json_of_response { rs_id; rs_result } =
   let fields =
     match rs_result with
     | Ok reply ->
@@ -413,7 +383,7 @@ let phase_of_response j =
         | Ok ph -> Ok ph
         | Error m -> Error m))
 
-let rec decode_reply op j =
+let decode_reply op j =
   match op with
   | "ping" -> Ok Pong
   | "hello" ->
@@ -509,23 +479,9 @@ let rec decode_reply op j =
        in
        go [] items
      | _ -> Error "response lacks \"packages\"")
-  | "batch" ->
-    (match Json.member "responses" j with
-     | Some (Json.Arr items) ->
-       let rec go acc = function
-         | [] -> Ok (Batch_r (List.rev acc))
-         | r :: rest ->
-           (match response_of_json r with
-            | Ok { rs_result = Ok (Batch_r _); _ } ->
-              Error "batch responses may not nest"
-            | Ok resp -> go (resp :: acc) rest
-            | Error msg -> Error msg)
-       in
-       go [] items
-     | _ -> Error "response lacks \"responses\"")
   | other -> Error (Printf.sprintf "unknown response op %S" other)
 
-and response_of_json j =
+let response_of_json j =
   let id = Json.member "id" j in
   match Json.member "ok" j with
   | Some (Json.Bool true) ->
@@ -573,7 +529,9 @@ module Bin = struct
 
   (* Request tags live in 0x01..0x1f, response tags in 0x41..0x5f,
      the error response at 0x7f — disjoint ranges, so a frame decoded
-     in the wrong direction fails loudly instead of aliasing. *)
+     in the wrong direction fails loudly instead of aliasing. 0x0a and
+     0x49 carried the retired [batch] op: they stay unassigned, so an
+     old peer's batch frame is an unknown tag, never another op. *)
   let t_hello = 0x01
   and t_ping = 0x02
   and t_stats = 0x03
@@ -583,7 +541,6 @@ module Bin = struct
   and t_top = 0x07
   and t_dependents = 0x08
   and t_unknown = 0x09
-  and t_batch = 0x0a
 
   let r_hello = 0x41
   and r_pong = 0x42
@@ -593,7 +550,6 @@ module Bin = struct
   and r_partial = 0x46
   and r_top = 0x47
   and r_dependents = 0x48
-  and r_batch = 0x49
   and r_error = 0x7f
 
   let w_phase b = function
@@ -633,7 +589,7 @@ module Bin = struct
     if n > max_frame then raise (Bad ("oversized list in " ^ what));
     List.init n (fun _ -> Wire.r_int c what)
 
-  let rec write_request b { rq_id; rq_op } =
+  let write_request b { rq_id; rq_op } =
     (match rq_op with
      | Hello versions ->
        Buffer.add_char b (Char.chr t_hello);
@@ -675,11 +631,6 @@ module Bin = struct
         | Some l ->
           Buffer.add_char b '\001';
           Wire.w_int b l)
-     | Batch reqs ->
-       Buffer.add_char b (Char.chr t_batch);
-       w_id b rq_id;
-       Wire.w_varint b (List.length reqs);
-       List.iter (write_request b) reqs
      | Unknown s ->
        Buffer.add_char b (Char.chr t_unknown);
        w_id b rq_id;
@@ -690,7 +641,7 @@ module Bin = struct
     write_request b r;
     frame (Buffer.contents b)
 
-  let rec write_response b { rs_id; rs_result } =
+  let write_response b { rs_id; rs_result } =
     (match rs_result with
      | Error { e_kind; e_msg } ->
        Buffer.add_char b (Char.chr r_error);
@@ -771,12 +722,7 @@ module Bin = struct
             (fun (name, prob) ->
               Wire.w_str b name;
               Wire.w_float b prob)
-            packages
-        | Batch_r rs ->
-          Buffer.add_char b (Char.chr r_batch);
-          w_id b rs_id;
-          Wire.w_varint b (List.length rs);
-          List.iter (write_response b) rs))
+            packages))
 
   let encode_response r =
     let b = Buffer.create 64 in
@@ -798,10 +744,7 @@ module Bin = struct
     | Wire.Fail e -> Error (Fmt.str "%a" Snapshot.pp_error e)
     | Bad msg -> Error msg
 
-  (* [depth] guards batch nesting: a batch may carry any simple
-     request, never another batch — decoded nesting would let one
-     frame hide unbounded recursion. *)
-  let rec read_request ~depth c =
+  let read_request c =
     let tag = Wire.r_byte c "request tag" in
     let rq_id = r_id c in
     let rq_op =
@@ -832,20 +775,14 @@ module Bin = struct
               | n -> raise (Bad (Printf.sprintf "bad limit tag %d" n))
             in
             Dependents { api; limit }
-          else if tag = t_batch then begin
-            if depth > 0 then raise (Bad "batch requests may not nest");
-            let n = Wire.r_varint c "batch requests" in
-            if n > max_frame then raise (Bad "oversized batch");
-            Batch (List.init n (fun _ -> read_request ~depth:(depth + 1) c))
-          end
           else if tag = t_unknown then Unknown (Wire.r_str c "op")
           else raise (Bad (Printf.sprintf "unknown request tag 0x%02x" tag))
     in
     { rq_id; rq_op }
 
-  let decode_request s = decoding "request" (read_request ~depth:0) s
+  let decode_request s = decoding "request" read_request s
 
-  let rec read_response ~depth c =
+  let read_response c =
     let tag = Wire.r_byte c "response tag" in
     let rs_id = r_id c in
     let rs_result =
@@ -930,19 +867,11 @@ module Bin = struct
             in
             Ok (Dependents_r { api; packages })
           end
-          else if tag = r_batch then begin
-            if depth > 0 then raise (Bad "batch responses may not nest");
-            let n = Wire.r_varint c "batch responses" in
-            if n > max_frame then raise (Bad "oversized batch");
-            Ok
-              (Batch_r
-                 (List.init n (fun _ -> read_response ~depth:(depth + 1) c)))
-          end
           else raise (Bad (Printf.sprintf "unknown response tag 0x%02x" tag))
     in
     { rs_id; rs_result }
 
-  let decode_response s = decoding "response" (read_response ~depth:0) s
+  let decode_response s = decoding "response" read_response s
 
   let input_frame_body ic =
     match really_input_string ic 4 with

@@ -63,17 +63,11 @@ type req =
     }  (** one shard's share of a scattered completeness query *)
   | Top of int
   | Dependents of { api : string; limit : int option }
-  | Batch of request list
-      (** several requests in one frame — the router's scatter-path
-          coalescing op. Each element keeps its own id; the reply is a
-          {!Batch_r} with one response per element {e in request
-          order}. Batches may not nest: both codecs reject a [Batch]
-          inside a [Batch] at decode time. *)
   | Unknown of string
       (** an op name this version does not know — kept so the error
           response (and its stage counter) can echo it *)
 
-and request = { rq_id : Json.t option; rq_op : req }
+type request = { rq_id : Json.t option; rq_op : req }
 (** [rq_id] is echoed verbatim into the response for correlation. *)
 
 val op_name : req -> string
@@ -132,11 +126,8 @@ type reply =
   | Partial_r of { lo : int; hi : int; num : float; den : float }
   | Top_r of Query.ranked list
   | Dependents_r of { api : string; packages : (string * float) list }
-  | Batch_r of response list
-      (** one response per batched request, in request order, each
-          echoing its sub-request's id *)
 
-and response = { rs_id : Json.t option; rs_result : (reply, err) result }
+type response = { rs_id : Json.t option; rs_result : (reply, err) result }
 
 val error_response : ?id:Json.t -> kind:string -> string -> response
 

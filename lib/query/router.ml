@@ -1,8 +1,7 @@
-(** See the interface for semantics. Threading model: the front
-    (accept loop, per-connection readers, response resequencing) is
-    the {!Server} pattern, but the pool is plain threads — gather
-    work is IO-bound waiting on shard sockets, not CPU-bound
-    evaluation. Each shard has one pipelined connection: a mutex
+(** See the interface for semantics. Threading model: the client side
+    is the {!Frontend}, with shedding admission and a pool of plain
+    threads — gather work is IO-bound waiting on shard sockets, not
+    CPU-bound evaluation. Each shard has one pipelined connection: a mutex
     serializes writes, a reader thread completes waiters by
     router-assigned id, and a receive timeout turns a stalled shard
     into failed calls rather than hung ones. Invariants:
@@ -43,7 +42,6 @@ type config = {
   queue_bound : int;
   shard_timeout : float;
   health_period : float;
-  batching : bool;
   cache_capacity : int;
 }
 
@@ -56,7 +54,6 @@ let default =
     queue_bound = 256;
     shard_timeout = 5.0;
     health_period = 1.0;
-    batching = true;
     cache_capacity = 512;
   }
 
@@ -125,7 +122,6 @@ type shard = {
   s_pending : (int, waiter) Hashtbl.t;
   s_outq : (int * P.req) Queue.t;  (* registered but not yet written *)
   mutable s_draining : bool;  (* the single-writer token for [s_outq] *)
-  s_coalesce : bool;  (* >= 2 queued messages leave as one [batch] *)
 }
 
 let shard_name sh = Printf.sprintf "%s:%d" sh.spec.sh_host sh.spec.sh_port
@@ -175,54 +171,21 @@ let pending_empty sh gen =
   Mutex.protect sh.sm (fun () ->
       sh.s_gen <> gen || Hashtbl.length sh.s_pending = 0)
 
-let rec complete_response sh gen resp =
-  match resp.P.rs_result with
-  | Ok (P.Batch_r rs) ->
-    (* A coalesced frame coming back: each sub-response carries the
-       router-assigned id of one coalesced request (the outer envelope
-       itself correlates with nothing), so the whole frame correlates
-       under a single [sm] acquisition rather than one per member.
-       Completions still run outside the lock. A nested batch — which
-       no shard produces — falls through to the recursive walk. *)
-    let nested, flat =
-      List.partition
-        (fun r ->
-          match r.P.rs_result with Ok (P.Batch_r _) -> true | _ -> false)
-        rs
-    in
-    let completed =
-      Mutex.protect sh.sm (fun () ->
-          if sh.s_gen <> gen then []
-          else
-            List.filter_map
-              (fun r ->
-                match Option.bind r.P.rs_id Json.to_int with
-                | None -> None
-                | Some id ->
-                  (match Hashtbl.find_opt sh.s_pending id with
-                   | None -> None
-                   | Some w ->
-                     Hashtbl.remove sh.s_pending id;
-                     Some (w, r)))
-              flat)
-    in
-    List.iter (fun (w, r) -> complete_waiter w (Ok r)) completed;
-    List.iter (complete_response sh gen) nested
-  | _ ->
-    let waiter =
-      Mutex.protect sh.sm (fun () ->
-          if sh.s_gen <> gen then None
-          else
-            match Option.bind resp.P.rs_id Json.to_int with
-            | None -> None
-            | Some id ->
-              let w = Hashtbl.find_opt sh.s_pending id in
-              Hashtbl.remove sh.s_pending id;
-              w)
-    in
-    (match waiter with
-     | Some w -> complete_waiter w (Ok resp)
-     | None -> ())  (* uncorrelated response; nothing waits for it *)
+let complete_response sh gen resp =
+  let waiter =
+    Mutex.protect sh.sm (fun () ->
+        if sh.s_gen <> gen then None
+        else
+          match Option.bind resp.P.rs_id Json.to_int with
+          | None -> None
+          | Some id ->
+            let w = Hashtbl.find_opt sh.s_pending id in
+            Hashtbl.remove sh.s_pending id;
+            w)
+  in
+  match waiter with
+  | Some w -> complete_waiter w (Ok resp)
+  | None -> ()  (* uncorrelated response; nothing waits for it *)
 
 (* One reader per connection generation. The receive timeout only
    counts as idleness at a frame boundary with nothing in flight;
@@ -302,13 +265,10 @@ let connect_locked ~timeout sh =
 
 (* The single-writer drain loop. Whichever thread holds the
    [s_draining] token swaps the whole outgoing queue out under the
-   mutex and writes it outside the lock; everything other threads
-   enqueue during that in-flight write is picked up by the next swap.
-   That window {e is} the adaptive batch: with coalescing on, >= 2
-   queued messages leave as one [batch] frame (the shard drains it
-   through [eval_subsets]); with it off they leave as individual
-   frames in one writev-sized burst — either way exactly one thread
-   writes, so frames never interleave. *)
+   mutex and writes it outside the lock, as one burst of frames;
+   everything other threads enqueue during that in-flight write is
+   picked up by the next swap. Exactly one thread writes, so frames
+   never interleave. *)
 let drain_outq sh =
   let rec loop () =
     let next =
@@ -330,16 +290,8 @@ let drain_outq sh =
         { P.rq_id = Some (Json.Num (float_of_int id)); rq_op = op }
       in
       let bytes =
-        match items with
-        | [ one ] -> P.Bin.encode_request (mk one)
-        | many when sh.s_coalesce ->
-          Stage.incr "router:batches";
-          Stage.incr ~by:(List.length many) "router:batched-msgs";
-          P.Bin.encode_request
-            { P.rq_id = None; rq_op = P.Batch (List.map mk many) }
-        | many ->
-          String.concat ""
-            (List.map (fun item -> P.Bin.encode_request (mk item)) many)
+        String.concat ""
+          (List.map (fun item -> P.Bin.encode_request (mk item)) items)
       in
       (match write_all fd bytes with
        | () -> loop ()
@@ -397,77 +349,16 @@ let call_retry ~timeout sh req =
 (* Router state                                                        *)
 (* ------------------------------------------------------------------ *)
 
-type conn = {
-  fd : Unix.file_descr;
-  cmutex : Mutex.t;
-  mutable next_seq : int;
-  mutable next_write : int;
-  pending : (int, string) Hashtbl.t;
-  mutable outstanding : int;
-  mutable reader_done : bool;
-  mutable dead : bool;
-  mutable closed : bool;
-}
-
-type msg = Line of string | Frame of string | Broken of string
-
-type job = Job of conn * int * msg | Quit
-
 type t = {
   cfg : config;
-  lsock : Unix.file_descr;
-  bound_port : int;
+  fe : Frontend.t;
   shards : shard array;
   ranges : (shard * (int * int)) array;  (* range order = merge order *)
   sliced : bool;  (* shards serve range-sliced images, not full copies *)
   meta : int * int * int * int;  (* packages, apis, binaries, installs *)
   cache : (string, (P.reply, P.err) result) Lru.t option;
   rr : int Atomic.t;  (* round-robin cursor for forwarded ops *)
-  queue : job Queue.t;
-  qmutex : Mutex.t;
-  not_empty : Condition.t;
-  stop_flag : bool Atomic.t;
-  shutdown_started : bool Atomic.t;
-  accepted : int Atomic.t;
-  conns_mutex : Mutex.t;
-  mutable conns : conn list;
-  mutable readers : Thread.t list;
-  mutable workers : Thread.t list;
-  mutable accept_thread : Thread.t option;
-  mutable health_thread : Thread.t option;
-  fin_mutex : Mutex.t;
-  fin_cv : Condition.t;
-  mutable finished : bool;
 }
-
-(* Admission control: never blocks. [false] means the queue is full
-   and the caller must shed. *)
-let try_enqueue t job =
-  Mutex.protect t.qmutex (fun () ->
-      if Queue.length t.queue >= t.cfg.queue_bound then false
-      else begin
-        Queue.push job t.queue;
-        Condition.signal t.not_empty;
-        true
-      end)
-
-(* Shutdown control jobs bypass the bound — a full queue must never
-   be able to strand a worker. *)
-let enqueue_ctl t job =
-  Mutex.protect t.qmutex (fun () ->
-      Queue.push job t.queue;
-      Condition.signal t.not_empty)
-
-let dequeue t =
-  Mutex.lock t.qmutex;
-  while Queue.is_empty t.queue do
-    Condition.wait t.not_empty t.qmutex
-  done;
-  let job = Queue.pop t.queue in
-  Mutex.unlock t.qmutex;
-  job
-
-let queue_depth t = Mutex.protect t.qmutex (fun () -> Queue.length t.queue)
 
 (* ------------------------------------------------------------------ *)
 (* Request handling                                                    *)
@@ -478,9 +369,8 @@ let err kind msg = Error { P.e_kind = kind; e_msg = msg }
 let healthy_count t =
   Array.fold_left (fun n sh -> if shard_healthy sh then n + 1 else n) 0 t.shards
 
-(* One round of pipelined sends (every request is on the wire — and
-   coalescible into one batch frame per shard — before any await)
-   into a single gather cell, so the worker parks once and wakes once
+(* One round of pipelined sends (every request is on the wire before
+   any await) into a single gather cell, so the worker parks once and wakes once
    when the last partial lands, then a retry-once pass over whatever
    failed. Result order = [pairs] order. *)
 let scatter_calls t pairs =
@@ -684,15 +574,13 @@ let forward t req =
 
 let router_gauges t () =
   [
-    ("queue_depth", float_of_int (queue_depth t));
+    ("queue_depth", float_of_int (Frontend.queue_depth t.fe));
     ("queue_capacity", float_of_int t.cfg.queue_bound);
     ("workers", float_of_int t.cfg.workers);
-    ("connections", float_of_int (Atomic.get t.accepted));
+    ("connections", float_of_int (Frontend.connections_served t.fe));
     ("shards", float_of_int (Array.length t.shards));
     ("shards_healthy", float_of_int (healthy_count t));
     ("shed", float_of_int (Stage.counter "router:shed"));
-    ("batching", if t.cfg.batching then 1.0 else 0.0);
-    ("batches", float_of_int (Stage.counter "router:batches"));
     ("sliced", if t.sliced then 1.0 else 0.0);
   ]
   @
@@ -713,15 +601,11 @@ let router_gauges t () =
    shard is down, hiding exactly the degradation the scatter's
    all-shards dependency exists to surface. (On a sliced fleet
    [dependents] and [partial-completeness] scatter too, so their
-   cacheability follows the partition.) Live-state ops never cache;
-   neither do [batch] envelopes (their members would defeat the
-   point-query hit rate the cache exists for). *)
+   cacheability follows the partition.) Live-state ops never cache. *)
 let cacheable_op t = function
   | P.Importance _ | P.Top _ -> true
   | P.Dependents _ | P.Partial_completeness _ -> not t.sliced
-  | P.Hello _ | P.Ping | P.Stats | P.Completeness _ | P.Batch _
-  | P.Unknown _ ->
-    false
+  | P.Hello _ | P.Ping | P.Stats | P.Completeness _ | P.Unknown _ -> false
 
 (* Only deterministic results enter the cache: an [Ok] or a
    validation error is the same answer forever, but [degraded] /
@@ -733,7 +617,7 @@ let cache_worthy = function
     e_kind = P.bad_api || e_kind = P.bad_phase || e_kind = P.bad_request
     || e_kind = P.unknown_op
 
-let rec handle_req t (req : P.req) : (P.reply, P.err) result =
+let handle_req t (req : P.req) : (P.reply, P.err) result =
   match req with
   | P.Hello versions ->
     (match P.negotiate versions with
@@ -759,22 +643,17 @@ let rec handle_req t (req : P.req) : (P.reply, P.err) result =
     scatter_partial t ~syscalls ~phase ~lo ~hi
   | P.Importance _ | P.Top _ | P.Dependents _ | P.Partial_completeness _ ->
     forward t req
-  | P.Batch reqs ->
-    (* Client-side batches: answer each member (through the cache)
-       and return the envelope — member order preserved, sub-ids
-       echoed. *)
-    Ok (P.Batch_r (List.map (handle_request t) reqs))
   | P.Unknown other ->
     err P.unknown_op (Printf.sprintf "unknown op %S" other)
 
-and handle_timed t (request : P.request) : (P.reply, P.err) result =
+let handle_timed t (request : P.request) : (P.reply, P.err) result =
   let name = "router:" ^ P.op_name request.P.rq_op in
   let t0 = Stage.now_ns () in
   let result = Stage.time name (fun () -> handle_req t request.P.rq_op) in
   Histogram.observe_ns name (Int64.to_int (Int64.sub (Stage.now_ns ()) t0));
   result
 
-and handle_request t (request : P.request) : P.response =
+let handle_request t (request : P.request) : P.response =
   let result =
     match t.cache with
     | Some c when cacheable_op t request.P.rq_op ->
@@ -793,169 +672,39 @@ and handle_request t (request : P.request) : P.response =
 
 let answer t msg =
   Stage.incr "router:requests";
-  match msg with
-  | Line line ->
-    let response =
-      match Json.parse line with
-      | Error m -> P.error_response ~kind:P.parse_error m
-      | Ok j ->
-        (match P.request_of_json j with
-         | Error e -> e
-         | Ok request -> handle_request t request)
-    in
-    Json.to_string (P.json_of_response response) ^ "\n"
-  | Frame payload ->
-    let response =
-      match P.Bin.decode_request payload with
-      | Error m -> P.error_response ~kind:P.parse_error m
-      | Ok request -> handle_request t request
-    in
-    P.Bin.encode_response response
-  | Broken m ->
-    P.Bin.encode_response (P.error_response ~kind:P.parse_error m)
+  Frontend.reply (handle_request t) msg
 
-(* The shed response still flows through the resequencer, so a client
-   pipelining requests sees its responses — served and shed alike —
-   in send order. The id is recovered with a best-effort parse (the
-   queue is full; the worker pool never sees this request). *)
-let shed_response msg =
-  match msg with
-  | Line line ->
-    let id =
-      match Json.parse line with
-      | Ok j -> Json.member "id" j
-      | Error _ -> None
-    in
-    Json.to_string
-      (P.json_of_response
-         (P.error_response ?id ~kind:P.overloaded "router queue full"))
-    ^ "\n"
-  | Frame payload ->
-    let id =
-      match P.Bin.decode_request payload with
-      | Ok r -> r.P.rq_id
-      | Error _ -> None
-    in
-    P.Bin.encode_response
-      (P.error_response ?id ~kind:P.overloaded "router queue full")
-  | Broken m ->
-    P.Bin.encode_response (P.error_response ~kind:P.parse_error m)
-
-(* ------------------------------------------------------------------ *)
-(* Client connections (the Server front, with shedding)                *)
-(* ------------------------------------------------------------------ *)
-
-let maybe_close conn =
-  if conn.reader_done && conn.outstanding = 0 && not conn.closed then begin
-    conn.closed <- true;
-    try Unix.close conn.fd with Unix.Unix_error _ -> ()
-  end
-
-let deliver conn seq bytes =
-  Mutex.lock conn.cmutex;
-  Hashtbl.replace conn.pending seq bytes;
-  let continue = ref true in
-  while !continue do
-    match Hashtbl.find_opt conn.pending conn.next_write with
-    | None -> continue := false
-    | Some response ->
-      Hashtbl.remove conn.pending conn.next_write;
-      conn.next_write <- conn.next_write + 1;
-      conn.outstanding <- conn.outstanding - 1;
-      if not (conn.dead || conn.closed) then (
-        try write_all conn.fd response
-        with Unix.Unix_error _ | Sys_error _ -> conn.dead <- true)
-  done;
-  maybe_close conn;
-  Mutex.unlock conn.cmutex
-
-let submit t conn msg =
-  Mutex.lock conn.cmutex;
-  let seq = conn.next_seq in
-  conn.next_seq <- seq + 1;
-  conn.outstanding <- conn.outstanding + 1;
-  Mutex.unlock conn.cmutex;
-  if not (try_enqueue t (Job (conn, seq, msg))) then begin
-    Stage.incr "router:shed";
-    deliver conn seq (shed_response msg)
-  end
-
-let json_reader t conn ic ~first =
-  (match first with
-   | Some line when String.trim line <> "" -> submit t conn (Line line)
-   | _ -> ());
-  let continue = ref true in
-  while !continue do
-    match In_channel.input_line ic with
-    | None -> continue := false
-    | Some line -> if String.trim line <> "" then submit t conn (Line line)
-  done
-
-let binary_reader t conn ic =
-  let rec go input =
-    match input ic with
-    | Ok payload ->
-      submit t conn (Frame payload);
-      go P.Bin.input_frame
-    | Error `Eof -> ()
-    | Error (`Bad msg) -> submit t conn (Broken msg)
-  in
-  go P.Bin.input_frame_body
-
-let client_reader t conn () =
-  let ic = Unix.in_channel_of_descr conn.fd in
-  (try
-     match input_char ic with
-     | exception End_of_file -> ()
-     | c when c = P.Bin.magic -> binary_reader t conn ic
-     | '\n' -> json_reader t conn ic ~first:None
-     | c ->
-       let rest = Option.value ~default:"" (In_channel.input_line ic) in
-       json_reader t conn ic ~first:(Some (String.make 1 c ^ rest))
-   with Sys_error _ | Unix.Unix_error _ -> ());
-  Mutex.lock conn.cmutex;
-  conn.reader_done <- true;
-  maybe_close conn;
-  Mutex.unlock conn.cmutex
-
-let worker t () =
-  let rec go () =
-    match dequeue t with
-    | Quit -> ()
-    | Job (conn, seq, msg) ->
-      let response =
-        try answer t msg
-        with e ->
-          let r =
-            P.error_response ~kind:P.internal_error (Printexc.to_string e)
-          in
-          (match msg with
-           | Line _ -> Json.to_string (P.json_of_response r) ^ "\n"
-           | Frame _ | Broken _ -> P.Bin.encode_response r)
-      in
-      deliver conn seq response;
-      go ()
-  in
-  go ()
+(* The shed answer: the request's own id, so it correlates like any
+   other response. The worker pool never sees this request. *)
+let shed msg =
+  Stage.incr "router:shed";
+  Frontend.reply
+    (fun request ->
+      P.error_response ?id:request.P.rq_id ~kind:P.overloaded
+        "router queue full")
+    msg
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let port t = t.bound_port
-let connections_served t = Atomic.get t.accepted
+let port t = Frontend.port t.fe
+let connections_served t = Frontend.connections_served t.fe
+let signal_stop t = Frontend.signal_stop t.fe
+let stop t = Frontend.stop t.fe
+let wait t = Frontend.wait t.fe
 let n_shards t = Array.length t.shards
 let healthy_shards t = healthy_count t
 
 let health_loop t () =
-  while not (Atomic.get t.stop_flag) do
+  while not (Frontend.stopping t.fe) do
     (* Sleep in small steps so shutdown is prompt. *)
     let slept = ref 0.0 in
-    while !slept < t.cfg.health_period && not (Atomic.get t.stop_flag) do
+    while !slept < t.cfg.health_period && not (Frontend.stopping t.fe) do
       Unix.sleepf 0.05;
       slept := !slept +. 0.05
     done;
-    if not (Atomic.get t.stop_flag) then
+    if not (Frontend.stopping t.fe) then
       Array.iter
         (fun sh ->
           match call ~timeout:t.cfg.shard_timeout sh P.Ping with
@@ -966,114 +715,18 @@ let health_loop t () =
         t.shards
   done
 
-let drain t =
-  Mutex.lock t.conns_mutex;
-  let conns = t.conns and readers = t.readers in
-  Mutex.unlock t.conns_mutex;
-  List.iter
-    (fun c ->
-      Mutex.lock c.cmutex;
-      if not c.closed then (
-        try Unix.shutdown c.fd Unix.SHUTDOWN_RECEIVE
-        with Unix.Unix_error _ -> ());
-      Mutex.unlock c.cmutex)
-    conns;
-  List.iter Thread.join readers;
-  List.iter (fun _ -> enqueue_ctl t Quit) t.workers;
-  List.iter Thread.join t.workers;
-  (match t.health_thread with Some th -> Thread.join th | None -> ());
-  List.iter
-    (fun c ->
-      Mutex.lock c.cmutex;
-      if not c.closed then begin
-        c.closed <- true;
-        (try Unix.close c.fd with Unix.Unix_error _ -> ())
-      end;
-      Mutex.unlock c.cmutex)
-    conns;
+(* Runs once the front end's workers have joined: nothing can start
+   a shard call any more, so failing the shard connections completes
+   every waiter still parked. *)
+let teardown t health () =
+  Thread.join health;
   Array.iter
     (fun sh ->
-      let waiters =
-        Mutex.protect sh.sm (fun () -> fail_locked sh)
-      in
+      let waiters = Mutex.protect sh.sm (fun () -> fail_locked sh) in
       List.iter (fun w -> complete_waiter w (Error "router stopped")) waiters)
-    t.shards;
-  Mutex.lock t.fin_mutex;
-  t.finished <- true;
-  Condition.broadcast t.fin_cv;
-  Mutex.unlock t.fin_mutex
+    t.shards
 
-let track t fd =
-  (* Small frames + closed-loop clients: without TCP_NODELAY, Nagle
-     parks each response waiting for a delayed ACK. *)
-  (try Unix.setsockopt fd Unix.TCP_NODELAY true
-   with Unix.Unix_error _ -> ());
-  Atomic.incr t.accepted;
-  Stage.incr "router:connections";
-  let conn =
-    {
-      fd;
-      cmutex = Mutex.create ();
-      next_seq = 0;
-      next_write = 0;
-      pending = Hashtbl.create 8;
-      outstanding = 0;
-      reader_done = false;
-      dead = false;
-      closed = false;
-    }
-  in
-  Mutex.lock t.conns_mutex;
-  t.conns <- conn :: t.conns;
-  t.readers <- Thread.create (client_reader t conn) () :: t.readers;
-  Mutex.unlock t.conns_mutex
-
-let acceptor t () =
-  while not (Atomic.get t.stop_flag) do
-    match Unix.select [ t.lsock ] [] [] 0.1 with
-    | [], _, _ -> ()
-    | _ -> (
-      match Unix.accept t.lsock with
-      | exception Unix.Unix_error _ -> ()
-      | fd, _addr -> track t fd)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  done;
-  (* Accept what the backlog already holds before closing the listen
-     socket: those clients' handshakes (and possibly requests) made it
-     in, and closing now would RST them unanswered — the same
-     last-gasp accept {!Server}'s acceptor does. *)
-  let rec drain_backlog () =
-    match Unix.select [ t.lsock ] [] [] 0.0 with
-    | _ :: _, _, _ -> (
-      match Unix.accept t.lsock with
-      | exception Unix.Unix_error _ -> ()
-      | fd, _addr ->
-        track t fd;
-        drain_backlog ())
-    | _ -> ()
-  in
-  (try drain_backlog () with Unix.Unix_error _ -> ());
-  (try Unix.close t.lsock with Unix.Unix_error _ -> ());
-  if Atomic.compare_and_set t.shutdown_started false true then drain t
-
-let wait t =
-  Mutex.lock t.fin_mutex;
-  while not t.finished do
-    Condition.wait t.fin_cv t.fin_mutex
-  done;
-  Mutex.unlock t.fin_mutex
-
-let signal_stop t = Atomic.set t.stop_flag true
-
-let stop t =
-  Atomic.set t.stop_flag true;
-  if Atomic.compare_and_set t.shutdown_started false true then begin
-    (match t.accept_thread with Some th -> Thread.join th | None -> ());
-    drain t
-  end;
-  wait t
-
-let make_shard ~coalesce spec =
+let make_shard spec =
   {
     spec;
     sm = Mutex.create ();
@@ -1084,7 +737,6 @@ let make_shard ~coalesce spec =
     s_pending = Hashtbl.create 16;
     s_outq = Queue.create ();
     s_draining = false;
-    s_coalesce = coalesce;
   }
 
 (* A shard serving a range-sliced image reports its coverage in the
@@ -1183,45 +835,35 @@ let start ?(config = default) specs =
   else begin
     (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
      with Invalid_argument _ -> ());
-    let shards =
-      Array.of_list (List.map (make_shard ~coalesce:config.batching) specs)
-    in
+    let shards = Array.of_list (List.map make_shard specs) in
     match probe_shards ~timeout:config.shard_timeout shards with
     | Error msg -> Error msg
     | Ok (meta, slices) ->
       match plan_ranges meta.P.st_packages shards slices with
       | Error msg -> Error msg
       | Ok (sliced, ranges) ->
-      let addr =
-        try Unix.inet_addr_of_string config.host
-        with Failure _ -> Unix.inet_addr_loopback
-      in
       (match
-         let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-         (try
-            Unix.setsockopt lsock Unix.SO_REUSEADDR true;
-            Unix.bind lsock (Unix.ADDR_INET (addr, config.port));
-            Unix.listen lsock config.backlog
-          with e ->
-            (try Unix.close lsock with Unix.Unix_error _ -> ());
-            raise e);
-         lsock
+         Frontend.listen
+           {
+             Frontend.host = config.host;
+             port = config.port;
+             backlog = config.backlog;
+             workers = config.workers;
+             queue_bound = config.queue_bound;
+             admission = Frontend.Shed shed;
+             spawn =
+               (fun f ->
+                 let th = Thread.create f () in
+                 fun () -> Thread.join th);
+             stage = "router";
+           }
        with
-       | exception Unix.Unix_error (e, _, _) ->
-         Error
-           (Printf.sprintf "cannot listen on %s:%d: %s" config.host
-              config.port (Unix.error_message e))
-       | lsock ->
-         let bound_port =
-           match Unix.getsockname lsock with
-           | Unix.ADDR_INET (_, p) -> p
-           | _ -> config.port
-         in
+       | Error msg -> Error msg
+       | Ok fe ->
          let t =
            {
              cfg = config;
-             lsock;
-             bound_port;
+             fe;
              shards;
              ranges;
              sliced;
@@ -1235,27 +877,9 @@ let start ?(config = default) specs =
                   Some (Lru.create ~capacity:config.cache_capacity)
                 else None);
              rr = Atomic.make 0;
-             queue = Queue.create ();
-             qmutex = Mutex.create ();
-             not_empty = Condition.create ();
-             stop_flag = Atomic.make false;
-             shutdown_started = Atomic.make false;
-             accepted = Atomic.make 0;
-             conns_mutex = Mutex.create ();
-             conns = [];
-             readers = [];
-             workers = [];
-             accept_thread = None;
-             health_thread = None;
-             fin_mutex = Mutex.create ();
-             fin_cv = Condition.create ();
-             finished = false;
            }
          in
-         t.workers <-
-           List.init (max 1 config.workers) (fun _ ->
-               Thread.create (worker t) ());
-         t.health_thread <- Some (Thread.create (health_loop t) ());
-         t.accept_thread <- Some (Thread.create (acceptor t) ());
+         let health = Thread.create (health_loop t) () in
+         Frontend.run fe ~answer:(answer t) ~teardown:(teardown t health);
          Ok t)
   end

@@ -1,7 +1,7 @@
 (** Scatter/gather front-end for a serving fleet — the [lapis fleet]
-    surface. The router listens like a single {!Server} (same
-    {!Protocol}, both codecs, per-connection response ordering) but
-    owns no index: behind it, N shard processes each serve the full
+    surface. The router listens through the same {!Frontend} as a
+    single {!Server} (same {!Protocol}, both codecs, per-connection
+    response ordering) but owns no index: behind it, N shard processes each serve the full
     index over TCP, and the router turns one [completeness] request
     into N [partial-completeness] requests — one contiguous package
     range per shard, the exact {!Query.shard_ranges} partition — and
@@ -17,8 +17,8 @@
     [partial-completeness]) forward to one shard, round-robin over
     the healthy ones. [ping], [hello] and [stats] answer locally —
     the router's [stats] reports its own gauges (queue depth and
-    bound, shard health, shed count, batching and cache counters) and
-    latency histograms.
+    bound, shard health, shed count and cache counters) and latency
+    histograms.
 
     {b Sliced fleets.} When the shards serve range-sliced images
     (their [stats] gauges report proper [slice_lo]/[slice_hi]
@@ -29,14 +29,6 @@
     [importance] and [top] still forward anywhere, because the
     per-API planes are whole in every slice.
 
-    {b Micro-batching.} All shard writes go through a per-shard
-    single-writer drain: while one thread's write is in flight, every
-    message other threads queue for that shard coalesces into one
-    [batch] frame, which the shard evaluates as one [eval_subsets]
-    pass. The batch size adapts to the load — idle fleets send single
-    frames, saturated ones amortize framing and evaluation across the
-    whole in-flight window.
-
     {b Caching.} Deterministic single-shard responses (results and
     validation errors, never [degraded]/[overloaded]) are memoized in
     a router-side LRU keyed on {!Protocol.canonical_key}, so repeated
@@ -46,11 +38,12 @@
     surface.
 
     {b Admission control.} The router's job queue is bounded and
-    {e shedding}: when it is full, new requests are answered
-    immediately with an ["overloaded"] error (in order, through the
-    per-connection resequencer) instead of queueing unboundedly —
-    under saturation the router degrades by refusing crisply, not by
-    growing latency without bound.
+    {e shedding} ({!Frontend.Shed}): when it is full, new requests are
+    answered immediately with an ["overloaded"] error (in order,
+    through the per-connection resequencer) instead of queueing
+    unboundedly — under saturation the router degrades by refusing
+    crisply, not by growing latency without bound. Its workers are
+    threads: they spend their time waiting on shard sockets.
 
     {b Degradation.} Shard connections are pipelined and correlated
     by router-assigned ids, with a receive timeout so a stalled shard
@@ -79,11 +72,6 @@ type config = {
   shard_timeout : float;
       (** seconds a shard call may take before it counts as failed *)
   health_period : float;  (** seconds between shard health pings *)
-  batching : bool;
-      (** coalesce same-shard messages queued during an in-flight
-          write into one [batch] frame (the adaptive micro-batch);
-          off, they still leave through the single-writer drain, one
-          frame each *)
   cache_capacity : int;
       (** router-side LRU over deterministic responses, keyed on
           {!Protocol.canonical_key} — repeated point queries answer
@@ -92,7 +80,7 @@ type config = {
 
 val default : config
 (** Loopback, ephemeral port, 8 workers, queue bound 256, 5s shard
-    timeout, 1s health period, batching on, 512 cache entries. *)
+    timeout, 1s health period, 512 cache entries. *)
 
 type t
 

@@ -10,7 +10,7 @@ type cache = (string, (P.reply, P.err) result) Lru.t
 
 let err kind msg = Error { P.e_kind = kind; e_msg = msg }
 
-let rec eval ?(gauges = fun () -> []) idx (req : P.req) :
+let eval ?(gauges = fun () -> []) idx (req : P.req) :
     (P.reply, P.err) result =
   match req with
   | P.Hello versions ->
@@ -64,71 +64,6 @@ let rec eval ?(gauges = fun () -> []) idx (req : P.req) :
               api = Query.api_to_string api;
               packages = Query.dependents_ranked ?limit idx api;
             }))
-  | P.Batch reqs ->
-    (* The fleet router coalesces same-shard traffic into one frame;
-       draining the completeness sub-requests through [eval_subsets]
-       (grouped by phase — the evaluator is per-phase) is where the
-       batch beats N single evals. Partial-completeness sub-requests
-       evaluate in a plain loop — their per-item cost is far below a
-       domain spawn, so the batch's win there is the amortized frame,
-       job and resequencer work, not eval parallelism. Every other op
-       evaluates singly. Responses come back in request order with
-       sub-ids echoed. *)
-    let reqs_a = Array.of_list reqs in
-    let results = Array.make (Array.length reqs_a) None in
-    let subsets = ref [] in
-    let partials = ref [] in
-    Array.iteri
-      (fun i (r : P.request) ->
-        match r.P.rq_op with
-        | P.Completeness { syscalls; phase } ->
-          let cur =
-            try List.assoc phase !subsets with Not_found -> []
-          in
-          subsets :=
-            (phase, (i, syscalls) :: cur)
-            :: List.remove_assoc phase !subsets
-        | P.Partial_completeness { syscalls; phase; lo; hi } ->
-          partials := (i, syscalls, phase, lo, hi) :: !partials
-        | op -> results.(i) <- Some (eval ~gauges idx op))
-      reqs_a;
-    List.iter
-      (fun (i, syscalls, phase, lo, hi) ->
-        let num, den =
-          Query.eval_syscalls_partial ~phase idx syscalls ~lo ~hi
-        in
-        results.(i) <- Some (Ok (P.Partial_r { lo; hi; num; den })))
-      (List.rev !partials);
-    List.iter
-      (fun (phase, items) ->
-        let items = List.rev items in
-        let vals = Query.eval_subsets ~phase idx (List.map snd items) in
-        List.iter2
-          (fun (i, syscalls) completeness ->
-            results.(i) <-
-              Some
-                (Ok
-                   (P.Completeness_r
-                      {
-                        n_syscalls = List.length syscalls;
-                        phase;
-                        completeness;
-                      })))
-          items vals)
-      !subsets;
-    Ok
-      (P.Batch_r
-         (Array.to_list
-            (Array.mapi
-               (fun i (r : P.request) ->
-                 {
-                   P.rs_id = r.P.rq_id;
-                   rs_result =
-                     (match results.(i) with
-                      | Some r -> r
-                      | None -> err P.internal_error "batch bookkeeping");
-                 })
-               reqs_a)))
   | P.Unknown other ->
     err P.unknown_op (Printf.sprintf "unknown op %S" other)
 
@@ -141,11 +76,9 @@ let handle_req ?gauges idx req =
 
 (* [hello] negotiates per connection and [stats] samples live gauges
    and histograms — neither is a pure function of the index, so
-   neither is memoized. [batch] is a container whose member set never
-   repeats usefully — caching it would only evict real entries.
-   Everything else (errors included) is. *)
+   neither is memoized. Everything else (errors included) is. *)
 let cacheable = function
-  | P.Hello _ | P.Stats | P.Batch _ -> false
+  | P.Hello _ | P.Stats -> false
   | _ -> true
 
 let handle_request ?cache ?gauges idx (request : P.request) : P.response =

@@ -1,24 +1,12 @@
-(** TCP serving: reader threads parse line/frame boundaries, worker
-    domains evaluate, responses re-sequence per connection. See the
-    interface for the architecture; the concurrency invariants are:
-
-    - a connection's mutable state ([next_seq], [outstanding],
-      [pending], [next_write], flags) is only touched under its own
-      mutex;
-    - the job queue is a bounded Mutex/Condition queue — readers block
-      when it fills (back-pressure toward the sockets), workers block
-      when it drains;
-    - the index and the cache are the only structures shared by all
-      workers, and both are safe by construction (immutable / mutex'd);
-      they live in an epoch behind an atomic pointer so {!reload} can
-      swap them without touching connections (pin protocol below);
-    - shutdown runs exactly once (an [Atomic] compare-and-set), either
-      on the thread that called {!stop} or on the accept thread after
-      a {!signal_stop}, and joins everything before declaring the
-      server finished. *)
+(** A single serving process: the {!Frontend} with blocking admission
+    and a pool of worker domains, evaluating against the index of the
+    current epoch. The index and the cache are the only structures
+    shared by all workers, and both are safe by construction
+    (immutable / mutex'd); they live in an epoch behind an atomic
+    pointer so {!reload} can swap them without touching connections
+    (pin protocol below). *)
 
 module Stage = Lapis_perf.Stage
-module P = Protocol
 
 type config = {
   host : string;
@@ -39,27 +27,6 @@ let default =
     cache_capacity = 1024;
   }
 
-type conn = {
-  fd : Unix.file_descr;
-  cmutex : Mutex.t;
-  mutable next_seq : int;  (* next sequence number the reader assigns *)
-  mutable next_write : int;  (* next sequence number to go on the wire *)
-  pending : (int, string) Hashtbl.t;  (* finished out-of-order responses *)
-  mutable outstanding : int;  (* enqueued and not yet written *)
-  mutable reader_done : bool;
-  mutable dead : bool;  (* write failed; drop the rest silently *)
-  mutable closed : bool;
-}
-
-(* What a reader hands the pool: a JSON line, a binary frame payload,
-   or an unrecoverable framing error (answered, then the connection's
-   read side is done). The response bytes are fully formed by the
-   worker — newline included for JSON, frame included for binary — so
-   [deliver] is codec-blind. *)
-type msg = Line of string | Frame of string | Broken of string
-
-type job = Job of conn * int * msg | Quit
-
 (* One index + its response cache, immutable once published. Workers
    pin the current epoch for the duration of a single request; reload
    publishes a successor and waits for the old epoch's pin count to
@@ -73,163 +40,23 @@ type epoch = {
 }
 
 type t = {
-  lsock : Unix.file_descr;
-  bound_port : int;
+  fe : Frontend.t;
   epoch : epoch Atomic.t;
   cache_capacity : int;
   n_workers : int;
-  reload_mutex : Mutex.t;
-  queue : job Queue.t;
   qcap : int;
-  qmutex : Mutex.t;
-  not_empty : Condition.t;
-  not_full : Condition.t;
-  stop_flag : bool Atomic.t;
-  shutdown_started : bool Atomic.t;
-  accepted : int Atomic.t;
-  conns_mutex : Mutex.t;
-  mutable conns : conn list;
-  mutable readers : Thread.t list;
-  mutable workers : unit Domain.t list;
-  mutable accept_thread : Thread.t option;
-  fin_mutex : Mutex.t;
-  fin_cv : Condition.t;
-  mutable finished : bool;
+  reload_mutex : Mutex.t;
 }
-
-(* ------------------------------------------------------------------ *)
-(* Bounded job queue                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let enqueue t job =
-  Mutex.lock t.qmutex;
-  while Queue.length t.queue >= t.qcap do
-    Condition.wait t.not_full t.qmutex
-  done;
-  Queue.push job t.queue;
-  Condition.signal t.not_empty;
-  Mutex.unlock t.qmutex
-
-let dequeue t =
-  Mutex.lock t.qmutex;
-  while Queue.is_empty t.queue do
-    Condition.wait t.not_empty t.qmutex
-  done;
-  let job = Queue.pop t.queue in
-  Condition.signal t.not_full;
-  Mutex.unlock t.qmutex;
-  job
-
-let queue_depth t = Mutex.protect t.qmutex (fun () -> Queue.length t.queue)
-
-(* ------------------------------------------------------------------ *)
-(* Per-connection plumbing                                             *)
-(* ------------------------------------------------------------------ *)
-
-let write_all fd s =
-  let len = String.length s in
-  let off = ref 0 in
-  while !off < len do
-    off := !off + Unix.write_substring fd s !off (len - !off)
-  done
-
-(* Under [cmutex]. The fd closes exactly once, when the reader has hit
-   EOF and every accepted request has been answered. *)
-let maybe_close conn =
-  if conn.reader_done && conn.outstanding = 0 && not conn.closed then begin
-    conn.closed <- true;
-    try Unix.close conn.fd with Unix.Unix_error _ -> ()
-  end
-
-(* Park the finished response, then flush the contiguous run starting
-   at [next_write] — this is what keeps each client's responses in its
-   own send order while the pool finishes jobs in any order. *)
-let deliver conn seq bytes =
-  Mutex.lock conn.cmutex;
-  Hashtbl.replace conn.pending seq bytes;
-  let continue = ref true in
-  while !continue do
-    match Hashtbl.find_opt conn.pending conn.next_write with
-    | None -> continue := false
-    | Some response ->
-      Hashtbl.remove conn.pending conn.next_write;
-      conn.next_write <- conn.next_write + 1;
-      conn.outstanding <- conn.outstanding - 1;
-      if not (conn.dead || conn.closed) then (
-        try write_all conn.fd response
-        with Unix.Unix_error _ | Sys_error _ -> conn.dead <- true)
-  done;
-  maybe_close conn;
-  Mutex.unlock conn.cmutex
-
-let submit t conn msg =
-  Mutex.lock conn.cmutex;
-  let seq = conn.next_seq in
-  conn.next_seq <- seq + 1;
-  conn.outstanding <- conn.outstanding + 1;
-  Mutex.unlock conn.cmutex;
-  enqueue t (Job (conn, seq, msg))
-
-let json_reader t conn ic ~first =
-  (match first with
-   | Some line when String.trim line <> "" -> submit t conn (Line line)
-   | _ -> ());
-  let continue = ref true in
-  while !continue do
-    match In_channel.input_line ic with
-    | None -> continue := false
-    | Some line -> if String.trim line <> "" then submit t conn (Line line)
-  done
-
-let binary_reader t conn ic =
-  (* The codec-detection byte was this connection's first frame's
-     magic, so the first read starts after it. *)
-  let rec go input =
-    match input ic with
-    | Ok payload ->
-      submit t conn (Frame payload);
-      go P.Bin.input_frame
-    | Error `Eof -> ()
-    | Error (`Bad msg) ->
-      (* The stream cannot be resynchronized: answer once, stop
-         reading. Responses already in flight still flush (the error
-         takes a sequence number like any other message). *)
-      submit t conn (Broken msg)
-  in
-  go P.Bin.input_frame_body
-
-(* A connection speaks the codec its first byte announces: the binary
-   magic can never start a JSON line, and a JSON request can never
-   start with 0xB1. *)
-let reader t conn () =
-  let ic = Unix.in_channel_of_descr conn.fd in
-  (try
-     match input_char ic with
-     | exception End_of_file -> ()
-     | c when c = P.Bin.magic -> binary_reader t conn ic
-     | '\n' -> json_reader t conn ic ~first:None
-     | c ->
-       let rest = Option.value ~default:"" (In_channel.input_line ic) in
-       json_reader t conn ic ~first:(Some (String.make 1 c ^ rest))
-   with Sys_error _ | Unix.Unix_error _ -> ());
-  Mutex.lock conn.cmutex;
-  conn.reader_done <- true;
-  maybe_close conn;
-  Mutex.unlock conn.cmutex
-
-(* ------------------------------------------------------------------ *)
-(* Workers                                                             *)
-(* ------------------------------------------------------------------ *)
 
 (* The stats op samples these live — the serving state only the
    server knows. *)
 let gauges t ep () =
   let base =
     [
-      ("queue_depth", float_of_int (queue_depth t));
+      ("queue_depth", float_of_int (Frontend.queue_depth t.fe));
       ("queue_capacity", float_of_int t.qcap);
       ("workers", float_of_int t.n_workers);
-      ("connections", float_of_int (Atomic.get t.accepted));
+      ("connections", float_of_int (Frontend.connections_served t.fe));
       ("epoch", float_of_int ep.ep_id);
       (* The package range this shard's per-package planes cover — how
          a fleet router learns its scatter partition from sliced
@@ -249,29 +76,6 @@ let gauges t ep () =
         ("cache_misses", float_of_int misses);
       ]
 
-let internal_error_json e =
-  Json.to_string
-    (P.json_of_response
-       (P.error_response ~kind:P.internal_error (Printexc.to_string e)))
-  ^ "\n"
-
-let answer t ep msg =
-  let gauges = gauges t ep in
-  match msg with
-  | Line line ->
-    Serve.handle_line ?cache:ep.ep_cache ~gauges ep.ep_idx line ^ "\n"
-  | Frame payload ->
-    Stage.incr "serve:requests";
-    let response =
-      match P.Bin.decode_request payload with
-      | Error msg -> P.error_response ~kind:P.parse_error msg
-      | Ok request ->
-        Serve.handle_request ?cache:ep.ep_cache ~gauges ep.ep_idx request
-    in
-    P.Bin.encode_response response
-  | Broken msg ->
-    P.Bin.encode_response (P.error_response ~kind:P.parse_error msg)
-
 (* Pin the current epoch: bump its in-flight count, then re-check the
    pointer. If a reload won the race between the read and the bump,
    the count we incremented may already have been observed as drained,
@@ -286,132 +90,20 @@ let rec pin_epoch t =
     pin_epoch t
   end
 
-let worker t () =
-  let rec go () =
-    match dequeue t with
-    | Quit -> ()
-    | Job (conn, seq, msg) ->
-      let ep = pin_epoch t in
-      (* [answer] is total; the catch-all is the never-crash
-         contract's last line of defense for the whole pool. *)
-      let response =
-        try answer t ep msg
-        with e -> (
-          match msg with
-          | Line _ -> internal_error_json e
-          | Frame _ | Broken _ ->
-            P.Bin.encode_response
-              (P.error_response ~kind:P.internal_error (Printexc.to_string e)))
-      in
-      Atomic.decr ep.ep_inflight;
-      deliver conn seq response;
-      go ()
-  in
-  go ()
+let answer t msg =
+  let ep = pin_epoch t in
+  Fun.protect ~finally:(fun () -> Atomic.decr ep.ep_inflight) @@ fun () ->
+  Stage.incr "serve:requests";
+  Frontend.reply
+    (Serve.handle_request ?cache:ep.ep_cache ~gauges:(gauges t ep) ep.ep_idx)
+    msg
 
-(* ------------------------------------------------------------------ *)
-(* Shutdown                                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* Runs at most once; the accept thread is already gone (we are either
-   past [Thread.join] in [stop] or on the accept thread itself after
-   its loop exited), so [t.conns] cannot grow any more. *)
-let drain t =
-  Mutex.lock t.conns_mutex;
-  let conns = t.conns and readers = t.readers in
-  Mutex.unlock t.conns_mutex;
-  (* Half-close: readers consume what clients already sent, then see
-     EOF. Nothing accepted is dropped. *)
-  List.iter
-    (fun c ->
-      Mutex.lock c.cmutex;
-      if not c.closed then (
-        try Unix.shutdown c.fd Unix.SHUTDOWN_RECEIVE
-        with Unix.Unix_error _ -> ());
-      Mutex.unlock c.cmutex)
-    conns;
-  List.iter Thread.join readers;
-  (* Every job is in the queue now; a Quit per worker lets the pool
-     finish the backlog first (the queue is FIFO). *)
-  List.iter (fun _ -> enqueue t Quit) t.workers;
-  List.iter Domain.join t.workers;
-  List.iter
-    (fun c ->
-      Mutex.lock c.cmutex;
-      if not c.closed then begin
-        c.closed <- true;
-        (try Unix.close c.fd with Unix.Unix_error _ -> ())
-      end;
-      Mutex.unlock c.cmutex)
-    conns;
-  Mutex.lock t.fin_mutex;
-  t.finished <- true;
-  Condition.broadcast t.fin_cv;
-  Mutex.unlock t.fin_mutex
-
-let track t fd =
-  (* Request/response frames are small; without TCP_NODELAY, Nagle
-     holds a response frame back waiting for the client's delayed ACK
-     — tens of ms of idle on every exchange of a closed-loop client. *)
-  (try Unix.setsockopt fd Unix.TCP_NODELAY true
-   with Unix.Unix_error _ -> ());
-  Atomic.incr t.accepted;
-  Stage.incr "serve:connections";
-  let conn =
-    {
-      fd;
-      cmutex = Mutex.create ();
-      next_seq = 0;
-      next_write = 0;
-      pending = Hashtbl.create 8;
-      outstanding = 0;
-      reader_done = false;
-      dead = false;
-      closed = false;
-    }
-  in
-  Mutex.lock t.conns_mutex;
-  t.conns <- conn :: t.conns;
-  t.readers <- Thread.create (reader t conn) () :: t.readers;
-  Mutex.unlock t.conns_mutex
-
-let acceptor t () =
-  while not (Atomic.get t.stop_flag) do
-    match Unix.select [ t.lsock ] [] [] 0.1 with
-    | [], _, _ -> ()
-    | _ -> (
-      match Unix.accept t.lsock with
-      | exception Unix.Unix_error _ -> ()
-      | fd, _addr -> track t fd)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  done;
-  (* The backlog may hold handshaken connections whose requests are
-     already queued — their clients' writes "made it in", and closing
-     the listening socket now would RST them unanswered. Accept
-     whatever is pending so the drain below serves it. *)
-  let rec drain_backlog () =
-    match Unix.select [ t.lsock ] [] [] 0.0 with
-    | _ :: _, _, _ -> (
-      match Unix.accept t.lsock with
-      | exception Unix.Unix_error _ -> ()
-      | fd, _addr ->
-        track t fd;
-        drain_backlog ())
-    | _ -> ()
-  in
-  (try drain_backlog () with Unix.Unix_error _ -> ());
-  (try Unix.close t.lsock with Unix.Unix_error _ -> ());
-  (* A signal_stop with nobody in [stop] still needs the drain to run
-     somewhere; first claimant does it. *)
-  if Atomic.compare_and_set t.shutdown_started false true then drain t
-
-(* ------------------------------------------------------------------ *)
-(* Lifecycle                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let port t = t.bound_port
-let connections_served t = Atomic.get t.accepted
+let port t = Frontend.port t.fe
+let connections_served t = Frontend.connections_served t.fe
 let epoch_id t = (Atomic.get t.epoch).ep_id
+let signal_stop t = Frontend.signal_stop t.fe
+let stop t = Frontend.stop t.fe
+let wait t = Frontend.wait t.fe
 
 let make_epoch ~id ~cache_capacity idx =
   {
@@ -442,28 +134,6 @@ let reload t idx =
       done;
       Stage.incr "serve:reloads")
 
-let wait t =
-  Mutex.lock t.fin_mutex;
-  while not t.finished do
-    Condition.wait t.fin_cv t.fin_mutex
-  done;
-  Mutex.unlock t.fin_mutex
-
-let signal_stop t = Atomic.set t.stop_flag true
-
-let stop t =
-  Atomic.set t.stop_flag true;
-  (* Whoever wins the compare-and-set (us or the accept thread after a
-     signal_stop) runs the drain; the other just waits. In the winning
-     branch the accept thread lost, so joining it here is safe and
-     guarantees the connection list is final before [drain] snapshots
-     it. *)
-  if Atomic.compare_and_set t.shutdown_started false true then begin
-    (match t.accept_thread with Some th -> Thread.join th | None -> ());
-    drain t
-  end;
-  wait t
-
 let start ?(config = default) idx =
   let workers =
     match config.workers with
@@ -475,62 +145,35 @@ let start ?(config = default) idx =
     | Some b -> max 1 b
     | None -> max 128 (workers * 32)
   in
-  (* A worker writing to a gone client must get EPIPE, not a fatal
-     signal. *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let addr =
-    try Unix.inet_addr_of_string config.host
-    with Failure _ -> Unix.inet_addr_loopback
-  in
   match
-    let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    (try
-       Unix.setsockopt lsock Unix.SO_REUSEADDR true;
-       Unix.bind lsock (Unix.ADDR_INET (addr, config.port));
-       Unix.listen lsock config.backlog
-     with e ->
-       (try Unix.close lsock with Unix.Unix_error _ -> ());
-       raise e);
-    lsock
+    Frontend.listen
+      {
+        Frontend.host = config.host;
+        port = config.port;
+        backlog = config.backlog;
+        workers;
+        queue_bound = qcap;
+        admission = Frontend.Block;
+        spawn =
+          (fun f ->
+            let d = Domain.spawn f in
+            fun () -> Domain.join d);
+        stage = "serve";
+      }
   with
-  | exception Unix.Unix_error (e, _, _) ->
-    Error
-      (Printf.sprintf "cannot listen on %s:%d: %s" config.host config.port
-         (Unix.error_message e))
-  | lsock ->
-    let bound_port =
-      match Unix.getsockname lsock with
-      | Unix.ADDR_INET (_, p) -> p
-      | _ -> config.port
-    in
+  | Error msg -> Error msg
+  | Ok fe ->
     let t =
       {
-        lsock;
-        bound_port;
+        fe;
         epoch =
           Atomic.make
             (make_epoch ~id:0 ~cache_capacity:config.cache_capacity idx);
         cache_capacity = config.cache_capacity;
         n_workers = workers;
-        reload_mutex = Mutex.create ();
-        queue = Queue.create ();
         qcap;
-        qmutex = Mutex.create ();
-        not_empty = Condition.create ();
-        not_full = Condition.create ();
-        stop_flag = Atomic.make false;
-        shutdown_started = Atomic.make false;
-        accepted = Atomic.make 0;
-        conns_mutex = Mutex.create ();
-        conns = [];
-        readers = [];
-        workers = [];
-        accept_thread = None;
-        fin_mutex = Mutex.create ();
-        fin_cv = Condition.create ();
-        finished = false;
+        reload_mutex = Mutex.create ();
       }
     in
-    t.workers <- List.init workers (fun _ -> Domain.spawn (worker t));
-    t.accept_thread <- Some (Thread.create (acceptor t) ());
+    Frontend.run fe ~answer:(answer t) ~teardown:ignore;
     Ok t

@@ -9,20 +9,16 @@
     {!Serve}). Malformed input produces an error response, never a
     dropped connection; an unframeable binary stream answers one
     error frame and stops reading (binary framing cannot be
-    resynchronized). On top of that, the server multiplexes any
-    number of clients:
+    resynchronized). Connections go through the shared {!Frontend}
+    (accept, reader thread per connection, per-connection response
+    order, graceful drain); what the server adds:
 
-    - an accept loop hands each connection to a lightweight reader
-      thread that only parses line/frame boundaries and enqueues jobs,
-      so an idle or slow client never occupies a worker;
-    - a fixed pool of worker {e domains} drains a bounded job queue and
-      evaluates queries in parallel against the shared immutable
-      {!Query.t} (evaluation allocates per-call scratch only, so no
-      locking on the index);
-    - responses are re-sequenced per connection before writing, so each
-      client sees answers in the order it sent requests even though
-      the pool completes them out of order;
-    - one shared {!Lru} cache memoizes typed results across all
+    - {e blocking} admission ({!Frontend.Block}): when the bounded job
+      queue fills, readers wait, which pushes back toward the sockets;
+    - a fixed pool of worker {e domains} evaluating queries in
+      parallel against the shared immutable {!Query.t} (evaluation
+      allocates per-call scratch only, so no locking on the index);
+    - one shared {!Lru} cache memoizing typed results across all
       clients and both codecs ({!Protocol.canonical_key} is
       codec-independent).
 

@@ -97,29 +97,7 @@ let sample_requests =
       P.rq_id = None;
       rq_op = P.Dependents { api = "mmap"; limit = None };
     };
-    { P.rq_id = Some Json.Null; rq_op = P.Unknown "explode" };
-    {
-      (* the scatter path's coalesced frame: rides through every
-         round-trip, truncation and bitflip sweep below *)
-      P.rq_id = Some (Json.Num 42.0);
-      rq_op =
-        P.Batch
-          [ { P.rq_id = Some (Json.Num 1.0); rq_op = P.Ping };
-            {
-              P.rq_id = Some (Json.Num 2.0);
-              rq_op =
-                P.Partial_completeness
-                  {
-                    syscalls = [ 0; 7 ];
-                    phase = Core.Query.Engine.All;
-                    lo = 0;
-                    hi = 50;
-                  };
-            };
-            { P.rq_id = None; rq_op = P.Top 3 }
-          ];
-    };
-    { P.rq_id = None; rq_op = P.Batch [] }
+    { P.rq_id = Some Json.Null; rq_op = P.Unknown "explode" }
   ]
 
 let sample_responses =
@@ -209,24 +187,7 @@ let sample_responses =
     };
     P.error_response ~id:(Json.Num 9.0) ~kind:P.degraded
       "shard 127.0.0.1:7071 unavailable: timeout";
-    P.error_response ~kind:P.overloaded "router queue full";
-    {
-      P.rs_id = None;
-      rs_result =
-        Ok
-          (P.Batch_r
-             [ { P.rs_id = Some (Json.Num 1.0); rs_result = Ok P.Pong };
-               {
-                 P.rs_id = Some (Json.Num 2.0);
-                 rs_result =
-                   Ok
-                     (P.Partial_r
-                        { lo = 0; hi = 50; num = 12.5; den = 80.0 });
-               };
-               P.error_response ~id:(Json.Num 3.0) ~kind:P.unknown_op
-                 "zz-op"
-             ]);
-    }
+    P.error_response ~kind:P.overloaded "router queue full"
   ]
 
 (* --- JSON codec round-trips ----------------------------------------- *)
@@ -368,41 +329,35 @@ let test_bin_frame_channel () =
         | Ok _ -> Alcotest.failf "truncation at %d produced a frame" cut)
   done
 
-(* --- batch nesting ---------------------------------------------------
+(* --- the retired batch tags ------------------------------------------
 
-   A batch may not carry a batch: one level of coalescing is the
-   protocol's whole contract, and rejecting nesting at decode keeps a
-   malicious frame from recursing the decoder. Both codecs, both
-   directions. *)
+   Tags 0x0a (request) and 0x49 (response) carried the retired [batch]
+   op and stay unassigned: a peer still sending one gets a structured
+   parse error in its own codec, never another op's answer. *)
 
-let nested_req =
-  { P.rq_id = None; rq_op = P.Batch [ { P.rq_id = None; rq_op = P.Batch [] } ] }
-
-let nested_resp =
-  {
-    P.rs_id = None;
-    rs_result =
-      Ok (P.Batch_r [ { P.rs_id = None; rs_result = Ok (P.Batch_r []) } ]);
-  }
-
-let test_batch_nesting_rejected () =
-  (match
-     P.request_of_json
-       (parse_exn {|{"op":"batch","requests":[{"op":"batch","requests":[]}]}|})
-   with
-   | Error { P.rs_result = Error e; _ } ->
-     Alcotest.(check string) "json request kind" P.bad_request e.P.e_kind
-   | Error _ -> Alcotest.fail "nested batch: error without a kind"
-   | Ok _ -> Alcotest.fail "nested JSON batch request parsed");
-  (match P.response_of_json (P.json_of_response nested_resp) with
+let test_retired_batch_tag () =
+  let ping = payload (P.Bin.encode_request { P.rq_id = None; rq_op = P.Ping }) in
+  (* a ping payload with its tag byte replaced *)
+  let retired tag =
+    String.make 1 (Char.chr tag) ^ String.sub ping 1 (String.length ping - 1)
+  in
+  (match P.Bin.decode_request (retired 0x0a) with
+   | Error msg ->
+     Alcotest.(check string) "request tag" "unknown request tag 0x0a" msg
+   | Ok _ -> Alcotest.fail "a 0x0a frame decoded as a request");
+  (match P.Bin.decode_response (retired 0x49) with
    | Error _ -> ()
-   | Ok _ -> Alcotest.fail "nested JSON batch response parsed");
-  (match P.Bin.decode_request (payload (P.Bin.encode_request nested_req)) with
-   | Error _ -> ()
-   | Ok _ -> Alcotest.fail "nested binary batch request decoded");
-  match P.Bin.decode_response (payload (P.Bin.encode_response nested_resp)) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "nested binary batch response decoded"
+   | Ok _ -> Alcotest.fail "a 0x49 frame decoded as a response");
+  let answered =
+    Core.Query.Frontend.reply
+      (fun _ -> Alcotest.fail "the handler saw a retired frame")
+      (Core.Query.Frontend.Frame (retired 0x0a))
+  in
+  match P.Bin.decode_response (payload answered) with
+  | Ok { P.rs_id = None; rs_result = Error e } ->
+    Alcotest.(check string) "answered kind" P.parse_error e.P.e_kind
+  | Ok _ -> Alcotest.fail "a 0x0a frame was answered as a success"
+  | Error e -> Alcotest.failf "undecodable answer: %s" e
 
 let test_bin_truncation_total () =
   (* every prefix of every payload decodes to a value, never raises *)
@@ -440,7 +395,7 @@ let gen_id =
         map (fun n -> Some (Json.Num (float_of_int n))) (int_bound 1000000);
         map (fun s -> Some (Json.Str s)) (string_size (int_bound 8)) ])
 
-let gen_simple_req =
+let gen_req =
   QCheck2.Gen.(
     oneof
       [ return P.Ping;
@@ -467,19 +422,6 @@ let gen_simple_req =
           (oneofl [ "read"; "syscall:0" ])
           (opt (int_bound 20));
         map (fun s -> P.Unknown ("zz-" ^ s)) (string_size (int_bound 6)) ])
-
-(* batches carry simple ops only — nesting is a protocol error,
-   covered by its own test *)
-let gen_req =
-  QCheck2.Gen.(
-    oneof
-      [ gen_simple_req;
-        map
-          (fun rs -> P.Batch rs)
-          (list_size (int_bound 5)
-             (map2
-                (fun rq_id rq_op -> { P.rq_id; rq_op })
-                gen_id gen_simple_req)) ])
 
 let gen_request =
   QCheck2.Gen.map2 (fun rq_id rq_op -> { P.rq_id; rq_op }) gen_id gen_req
@@ -592,8 +534,8 @@ let () =
           Alcotest.test_case "direction confusion" `Quick
             test_bin_direction_confusion;
           Alcotest.test_case "frame channel" `Quick test_bin_frame_channel;
-          Alcotest.test_case "batch nesting rejected" `Quick
-            test_batch_nesting_rejected;
+          Alcotest.test_case "retired batch tag is a parse error" `Quick
+            test_retired_batch_tag;
           Alcotest.test_case "truncation total" `Quick
             test_bin_truncation_total ] );
       ( "properties",

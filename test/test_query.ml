@@ -287,6 +287,13 @@ let test_serve_errors () =
    | Json.Num f -> Alcotest.(check (float 0.0)) "id echoed on error" 7.0 f
    | _ -> Alcotest.fail "id not echoed on error")
 
+let test_serve_retired_batch () =
+  (* the retired batch op is just an op this version does not know *)
+  Alcotest.(check string) "golden"
+    {|{"id":5,"ok":false,"error":{"kind":"unknown-op","msg":"unknown op \"batch\""}}|}
+    (Serve.handle_line (index ())
+       {|{"op":"batch","id":5,"requests":[{"op":"ping","id":6}]}|})
+
 let test_serve_loop () =
   (* full loop over real channels: blank lines skipped, one JSON line
      out per JSON line in, EOF terminates *)
@@ -377,6 +384,7 @@ let () =
       ( "serve",
         [ Alcotest.test_case "operations" `Quick test_serve_ops;
           Alcotest.test_case "errors" `Quick test_serve_errors;
+          Alcotest.test_case "retired batch op" `Quick test_serve_retired_batch;
           Alcotest.test_case "loop" `Quick test_serve_loop;
           Alcotest.test_case "canonical key" `Quick test_canonical_key ] )
     ]

@@ -60,8 +60,9 @@ let converse port reqs =
     reqs;
   flush oc;
   let resps = List.map (fun _ -> parse_exn (input_line ic)) reqs in
+  (* one close for the fd both channels share: a second one could hit
+     the fd number another client thread's socket just received *)
   close_out_noerr oc;
-  close_in_noerr ic;
   resps
 
 let ask port line = List.hd (converse port [ line ])
@@ -416,87 +417,53 @@ let test_sliced_fleet_matches_single_process () =
             Alcotest.(check int) "sliced stats package count" n
               (int_of_float (num "n_packages" r))))
 
-(* --- batched vs unbatched clients ------------------------------------- *)
+(* --- concurrent clients ------------------------------------------------ *)
 
-let test_mixed_batching_equivalence () =
-  (* two routers over the same shards, one coalescing shard writes
-     into batch frames and one sending a frame per message, hammered
-     by concurrent clients at the same time: every answer from either
-     is the single-process one within accumulation noise *)
-  let shards = List.init 2 (fun _ -> start_shard ()) in
-  Fun.protect
-    ~finally:(fun () -> List.iter Server.stop shards)
-    (fun () ->
-      let start_router batching =
-        match
-          Router.start
-            ~config:{ Router.default with batching }
-            (List.map spec shards)
-        with
-        | Ok r -> r
-        | Error msg -> Alcotest.failf "router start: %s" msg
+let test_concurrent_clients () =
+  (* six clients pipelining scatters into one router at once: the
+     answer at each send position is the single-process one within
+     accumulation noise *)
+  with_fleet ~n:2 (fun router _ ->
+      let port = Router.port router in
+      let subsets =
+        [ [ 0; 1; 2; 3 ]; []; [ 5; 9; 60 ]; List.init 120 Fun.id; [ 0; 7 ] ]
       in
-      let batched = start_router true in
-      let plain = start_router false in
-      Fun.protect
-        ~finally:(fun () ->
-          Router.stop batched;
-          Router.stop plain)
-        (fun () ->
-          let subsets =
-            [ [ 0; 1; 2; 3 ]; []; [ 5; 9; 60 ]; List.init 120 Fun.id;
-              [ 0; 7 ] ]
-          in
-          let expected =
-            List.map (fun s -> Engine.eval_syscalls (index ()) s) subsets
-          in
-          let fail_m = Mutex.create () in
-          let failures = ref [] in
-          let record msg =
-            Mutex.lock fail_m;
-            failures := msg :: !failures;
-            Mutex.unlock fail_m
-          in
-          let client label port () =
-            try
-              let reqs =
-                List.concat
-                  (List.init 4 (fun _ ->
-                       List.map (fun s -> completeness_req s) subsets))
-              in
-              let resps = converse port reqs in
-              List.iteri
-                (fun i r ->
-                  let want = List.nth expected (i mod List.length subsets) in
-                  let got = num "completeness" r in
-                  if Float.abs (got -. want) > 1e-12 then
-                    record
-                      (Printf.sprintf "%s resp %d: %.17g vs %.17g" label i
-                         got want))
-                resps
-            with e -> record (label ^ ": " ^ Printexc.to_string e)
-          in
-          let threads =
+      let expected =
+        List.map (fun s -> Engine.eval_syscalls (index ()) s) subsets
+      in
+      let fail_m = Mutex.create () in
+      let failures = ref [] in
+      let record msg =
+        Mutex.lock fail_m;
+        failures := msg :: !failures;
+        Mutex.unlock fail_m
+      in
+      let client c () =
+        try
+          let reqs =
             List.concat
-              [ List.init 4 (fun i ->
-                    Thread.create
-                      (client
-                         (Printf.sprintf "batched-%d" i)
-                         (Router.port batched))
-                      ());
-                List.init 2 (fun i ->
-                    Thread.create
-                      (client
-                         (Printf.sprintf "plain-%d" i)
-                         (Router.port plain))
-                      ()) ]
+              (List.init 4 (fun _ ->
+                   List.map (fun s -> completeness_req s) subsets))
           in
-          List.iter Thread.join threads;
-          (match !failures with
-           | [] -> ()
-           | msgs ->
-             Alcotest.failf "mixed fleet diverged:\n%s"
-               (String.concat "\n" msgs))))
+          let resps = converse port reqs in
+          List.iteri
+            (fun i r ->
+              let want = List.nth expected (i mod List.length subsets) in
+              let got = num "completeness" r in
+              if Float.abs (got -. want) > 1e-12 then
+                record
+                  (Printf.sprintf "client %d resp %d: %.17g vs %.17g" c i got
+                     want))
+            resps
+        with e -> record (Printf.sprintf "client %d: %s" c (Printexc.to_string e))
+      in
+      let threads = List.init 6 (fun c -> Thread.create (client c) ()) in
+      List.iter Thread.join threads;
+      match !failures with
+      | [] -> ()
+      | msgs ->
+        Alcotest.failf "concurrent clients diverged:\n%s"
+          (String.concat "\n" msgs))
 
 (* --- binary client path ---------------------------------------------- *)
 
@@ -535,8 +502,7 @@ let test_binary_client () =
        | Ok (P.Top_r rows) ->
          Alcotest.(check int) "binary top rows" 3 (List.length rows)
        | _ -> Alcotest.fail "binary top failed");
-      close_out_noerr oc;
-      close_in_noerr ic)
+      close_out_noerr oc)
 
 let () =
   Alcotest.run "router"
@@ -557,9 +523,9 @@ let () =
       ( "sliced",
         [ Alcotest.test_case "sliced fleet matches single-process" `Quick
             test_sliced_fleet_matches_single_process ] );
-      ( "batching",
-        [ Alcotest.test_case "mixed batched/unbatched clients" `Quick
-            test_mixed_batching_equivalence ] );
+      ( "concurrent",
+        [ Alcotest.test_case "six clients, one router" `Quick
+            test_concurrent_clients ] );
       ( "binary",
         [ Alcotest.test_case "binary client" `Quick test_binary_client ] )
     ]
