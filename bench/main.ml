@@ -1599,7 +1599,8 @@ let run_query_bench (args : args) =
    cache) and incrementally (one content-hash cache carried across
    the whole sequence). The two snapshots must be byte-identical at
    EVERY release; BENCH_EVOLVE.json records the wall-time ratio, the
-   cache-reuse counters and the delta-vs-full snapshot sizes. *)
+   cache-reuse counters, the delta-vs-full snapshot sizes and the
+   delta encode time. *)
 
 type evolve_row = {
   er_release : int;
@@ -1609,6 +1610,7 @@ type evolve_row = {
   er_misses : int;
   er_full_bytes : int;
   er_delta_bytes : int;  (* 0 for the base release *)
+  er_delta_s : float;  (* delta encode wall time; 0 for the base release *)
 }
 
 let write_evolve_json ~packages ~releases ~rows ~scratch_s ~inc_s ~hits
@@ -1635,10 +1637,10 @@ let write_evolve_json ~packages ~releases ~rows ~scratch_s ~inc_s ~hits
     (fun i r ->
       pf "%s\n    { \"release\": %d, \"scratch_s\": %.6f, \"inc_s\": %.6f, \
           \"hits\": %d, \"misses\": %d, \"full_bytes\": %d, \
-          \"delta_bytes\": %d }"
+          \"delta_bytes\": %d, \"delta_s\": %.6f }"
         (if i = 0 then "" else ",")
         r.er_release r.er_scratch_s r.er_inc_s r.er_hits r.er_misses
-        r.er_full_bytes r.er_delta_bytes)
+        r.er_full_bytes r.er_delta_bytes r.er_delta_s)
     rows;
   pf "\n  ]\n}\n";
   close_out oc;
@@ -1682,12 +1684,15 @@ let run_evolve_bench args =
     let dh = hits - !prev_hits and dm = misses - !prev_misses in
     prev_hits := hits;
     prev_misses := misses;
-    let delta_bytes =
+    let delta_bytes, delta_s =
       match !base with
       | None ->
         base := Some snap_inc;
-        0
-      | Some b -> String.length (Sn.to_delta_string ~base:b snap_inc)
+        (0, 0.0)
+      | Some b ->
+        let t0 = Unix.gettimeofday () in
+        let d = Sn.to_delta_string ~base:b snap_inc in
+        (String.length d, Unix.gettimeofday () -. t0)
     in
     tot_scratch := !tot_scratch +. (t1 -. t0);
     tot_inc := !tot_inc +. (t2 -. t1);
@@ -1700,6 +1705,7 @@ let run_evolve_bench args =
         er_misses = dm;
         er_full_bytes = String.length b_inc;
         er_delta_bytes = delta_bytes;
+        er_delta_s = delta_s;
       }
       :: !rows;
     Printf.printf
@@ -1707,7 +1713,7 @@ let run_evolve_bench args =
        %.2fs, reuse %d/%d%s\n%!"
       r (String.length b_inc) (t1 -. t0) (t2 -. t1) dh (dh + dm)
       (if delta_bytes = 0 then ""
-       else Printf.sprintf ", delta %d bytes" delta_bytes)
+       else Printf.sprintf ", delta %d bytes in %.3fs" delta_bytes delta_s)
   done;
   let hits = Core.Perf.Stage.counter "incremental:hits" in
   let misses = Core.Perf.Stage.counter "incremental:misses" in

@@ -333,26 +333,24 @@ let evolve_cmd =
          (match Snapshot.save path snap with
           | Error e -> fail_snap "save" path e
           | Ok () -> ());
-         base := Some snap;
+         let bytes = (Unix.stat path).Unix.st_size in
+         base := Some (snap, bytes);
          Printf.printf
            "release 0: %d packages, full snapshot %s (%d bytes; analyzed \
             %d payloads)\n%!"
-           n_pkgs path
-           (String.length (Snapshot.to_string snap))
-           misses
-       | Some b ->
+           n_pkgs path bytes misses
+       | Some (b, base_bytes) ->
          let path = Filename.concat out (Printf.sprintf "delta-r%d.snap" r) in
          (match Snapshot.save_delta path ~base:b snap with
           | Error e -> fail_snap "save delta" path e
           | Ok () -> ());
-         let full = String.length (Snapshot.to_string snap) in
          let delta = (Unix.stat path).Unix.st_size in
          Printf.printf
            "release %d: %d packages, delta %s (%d bytes, %.1f%% of the \
-            %d-byte full snapshot; analysis reuse %d/%d)\n%!"
+            %d-byte base snapshot; analysis reuse %d/%d)\n%!"
            r n_pkgs path delta
-           (100.0 *. float_of_int delta /. float_of_int full)
-           full hits (hits + misses));
+           (100.0 *. float_of_int delta /. float_of_int base_bytes)
+           base_bytes hits (hits + misses));
       publish_snap snap
     done;
     if stats then print_stage_stats ()

@@ -119,13 +119,23 @@ val to_delta_string : base:t -> t -> string
     base already holds, full rows otherwise). Applying the delta to
     the same base reproduces [cur]'s serialization byte for byte;
     rows untouched between releases make the delta orders of
-    magnitude smaller than {!to_string}. *)
+    magnitude smaller than {!to_string}.
+
+    A row is kept when it equals a base row field for field (floats by
+    bit pattern, sets by membership). Cost: a hash and an equality
+    check per row, serialization of the changed rows only, plus one
+    serialization of [base] to digest it — memoized for the last base
+    value, so a stream of deltas against one base pays it once. The
+    memo keys on physical identity, which is sound because a snapshot
+    and its store are never mutated after construction. *)
 
 val apply_delta : base:t -> string -> (t, error) result
 (** Decode a format-5 delta against its base. Total like
     {!of_string}; a wrong base yields [Base_mismatch], a non-delta
     input [Unsupported_version], and out-of-range keep instructions
-    [Corrupt]. *)
+    [Corrupt]. Cost: decoding the delta's changed rows and rebuilding
+    the store, plus the same memoized base digest as
+    {!to_delta_string}. *)
 
 val save_delta : string -> base:t -> t -> (unit, error) result
 

@@ -193,6 +193,143 @@ let test_delta_file_roundtrip () =
         (Snapshot.to_string cur)
         (Snapshot.to_string loaded))
 
+(* Byte identity of the encoder, pinned: row keying and the base
+   digest are implementation choices, the bytes they produce are not. *)
+let test_delta_goldens () =
+  let base = Lazy.force base and cur = Lazy.force cur in
+  let check name ~base cur ~bytes ~md5 =
+    let d = Snapshot.to_delta_string ~base cur in
+    Alcotest.(check int) (name ^ " bytes") bytes (String.length d);
+    Alcotest.(check string) (name ^ " md5") md5 (Digest.to_hex (Digest.string d))
+  in
+  check "r0->r3" ~base cur ~bytes:6649 ~md5:"a4aa68796ef574c5fdcd2f47c3a4c706";
+  check "r0->r0" ~base base ~bytes:1069
+    ~md5:"591dfcc7557d3022153afe248585bc68";
+  check "r3->r0" ~base:cur base ~bytes:6328
+    ~md5:"ad01cec4ad9829f138316fbe1252ab9a"
+
+(* --- row identity ------------------------------------------------- *)
+
+(* [t] with its rows replaced (metadata kept consistent). *)
+let with_rows (t : Snapshot.t) ~packages ~bins : Snapshot.t =
+  { t with
+    meta = { t.Snapshot.meta with Snapshot.n_packages = List.length packages };
+    store =
+      Store.build ~packages ~bins
+        ~total_installs:t.Snapshot.store.Store.total_installs }
+
+let pkgs (t : Snapshot.t) = Array.to_list t.Snapshot.store.Store.packages
+let bins (t : Snapshot.t) = t.Snapshot.store.Store.bins
+
+let check_applies name ~base cur =
+  let delta = Snapshot.to_delta_string ~base cur in
+  let applied = ok_exn name (Snapshot.apply_delta ~base delta) in
+  Alcotest.(check string) name (Snapshot.to_string cur)
+    (Snapshot.to_string applied);
+  delta
+
+let test_set_shape_is_not_identity () =
+  let base = Lazy.force base in
+  let module Api = Core.Apidb.Api in
+  (* rebuild one bin's init set in reverse insertion order: same
+     members, different balanced-tree shape *)
+  let reshaped = ref false in
+  let bins' =
+    List.map
+      (fun (r : Store.bin_row) ->
+        let rebuilt =
+          List.fold_left (fun s a -> Api.Set.add a s) Api.Set.empty
+            (List.rev (Api.Set.elements r.Store.br_init))
+        in
+        if !reshaped || rebuilt = r.Store.br_init then r
+        else begin
+          reshaped := true;
+          { r with Store.br_init = rebuilt }
+        end)
+      (bins base)
+  in
+  if not !reshaped then Alcotest.fail "no init set changed shape on rebuild";
+  let cur = with_rows base ~packages:(pkgs base) ~bins:bins' in
+  let delta = check_applies "reshaped set round-trips" ~base cur in
+  Alcotest.(check string) "a reshaped set is still the same row"
+    (Snapshot.to_delta_string ~base base)
+    delta
+
+let test_signed_zero_is_new () =
+  let base = Lazy.force base in
+  let set_prob prob =
+    match pkgs base with
+    | p :: rest ->
+      with_rows base ~packages:({ p with Store.pr_prob = prob } :: rest)
+        ~bins:(bins base)
+    | [] -> Alcotest.fail "empty world"
+  in
+  let zero = set_prob 0.0 and neg_zero = set_prob (-0.0) in
+  let delta = check_applies "-0.0 round-trips" ~base:zero neg_zero in
+  if String.equal delta (Snapshot.to_delta_string ~base:zero zero) then
+    Alcotest.fail "-0.0 was kept as the base's 0.0 row"
+
+let test_duplicate_base_rows_keep_first () =
+  let base = Lazy.force base in
+  let packages = pkgs base and bins = bins base in
+  let dup =
+    with_rows base
+      ~packages:(packages @ [ List.hd packages ])
+      ~bins:(bins @ [ List.hd bins ])
+  in
+  let delta = check_applies "duplicate base rows" ~base:dup base in
+  (* first index wins: the instruction streams are exactly the plain
+     delta's; only the named base digest (and so the payload MD5)
+     differ *)
+  let plain = Snapshot.to_delta_string ~base base in
+  let blank d base =
+    (* zero the header MD5 and the base digest the payload names *)
+    let digest = Digest.string (Snapshot.to_string base) in
+    let rec find i =
+      if i + 16 > String.length d then
+        Alcotest.fail "base digest not found in delta"
+      else if String.sub d i 16 = digest then i
+      else find (i + 1)
+    in
+    let at = find 36 in
+    let b = Bytes.of_string d in
+    Bytes.fill b 12 16 '\000';
+    Bytes.fill b at 16 '\000';
+    Bytes.to_string b
+  in
+  Alcotest.(check string) "duplicates keep their first index"
+    (blank plain base) (blank delta dup)
+
+let test_reorder_and_remove () =
+  let base = Lazy.force base in
+  let drop_every k l = List.filteri (fun i _ -> i mod k <> 0) l in
+  let cur =
+    with_rows base
+      ~packages:(List.rev (drop_every 7 (pkgs base)))
+      ~bins:(List.rev (drop_every 3 (bins base)))
+  in
+  ignore (check_applies "reordered and removed rows" ~base cur)
+
+(* --- base digest memo --------------------------------------------- *)
+
+let test_digest_memo_not_stale () =
+  let a = Lazy.force base and b = Lazy.force cur in
+  let da = Snapshot.to_delta_string ~base:a b in
+  let db = Snapshot.to_delta_string ~base:b a in
+  let da' = Snapshot.to_delta_string ~base:a b in
+  Alcotest.(check string) "A, B, then A again" da da';
+  ignore (ok_exn "delta on A" (Snapshot.apply_delta ~base:a da));
+  ignore (ok_exn "delta on B" (Snapshot.apply_delta ~base:b db));
+  check_delta_error "A's delta on B" "base-mismatch" ~base:b da;
+  check_delta_error "B's delta on A" "base-mismatch" ~base:a db;
+  (* a copy is a new value with its own digest, even right after the
+     original's digest was computed *)
+  let a' = { a with Snapshot.rejects = ("copy", 1) :: a.Snapshot.rejects } in
+  check_delta_error "A's delta on a copy" "base-mismatch" ~base:a' da;
+  let da_copy = Snapshot.to_delta_string ~base:a' b in
+  ignore (ok_exn "copy's delta on the copy" (Snapshot.apply_delta ~base:a' da_copy));
+  check_delta_error "copy's delta on A" "base-mismatch" ~base:a da_copy
+
 (* --- source identity ---------------------------------------------- *)
 
 let test_source_key_release () =
@@ -238,7 +375,18 @@ let () =
             test_delta_damage_goldens;
           Alcotest.test_case "never raises" `Quick test_delta_never_raises;
           Alcotest.test_case "file round-trip" `Quick
-            test_delta_file_roundtrip ] );
+            test_delta_file_roundtrip;
+          Alcotest.test_case "goldens" `Quick test_delta_goldens;
+          Alcotest.test_case "digest memo not stale" `Quick
+            test_digest_memo_not_stale ] );
+      ( "row identity",
+        [ Alcotest.test_case "set shape" `Quick
+            test_set_shape_is_not_identity;
+          Alcotest.test_case "signed zero" `Quick test_signed_zero_is_new;
+          Alcotest.test_case "duplicate base rows" `Quick
+            test_duplicate_base_rows_keep_first;
+          Alcotest.test_case "reorder and remove" `Quick
+            test_reorder_and_remove ] );
       ( "identity",
         [ Alcotest.test_case "source_key release" `Quick
             test_source_key_release;
