@@ -1599,8 +1599,8 @@ let run_query_bench (args : args) =
    cache) and incrementally (one content-hash cache carried across
    the whole sequence). The two snapshots must be byte-identical at
    EVERY release; BENCH_EVOLVE.json records the wall-time ratio, the
-   cache-reuse counters, the delta-vs-full snapshot sizes and the
-   delta encode time. *)
+   cache-reuse counters, the delta-vs-full snapshot sizes, the index
+   build time and the delta encode time. *)
 
 type evolve_row = {
   er_release : int;
@@ -1610,6 +1610,7 @@ type evolve_row = {
   er_misses : int;
   er_full_bytes : int;
   er_delta_bytes : int;  (* 0 for the base release *)
+  er_index_s : float;  (* Query.index wall time on the incremental store *)
   er_delta_s : float;  (* delta encode wall time; 0 for the base release *)
 }
 
@@ -1637,10 +1638,10 @@ let write_evolve_json ~packages ~releases ~rows ~scratch_s ~inc_s ~hits
     (fun i r ->
       pf "%s\n    { \"release\": %d, \"scratch_s\": %.6f, \"inc_s\": %.6f, \
           \"hits\": %d, \"misses\": %d, \"full_bytes\": %d, \
-          \"delta_bytes\": %d, \"delta_s\": %.6f }"
+          \"delta_bytes\": %d, \"index_s\": %.6f, \"delta_s\": %.6f }"
         (if i = 0 then "" else ",")
         r.er_release r.er_scratch_s r.er_inc_s r.er_hits r.er_misses
-        r.er_full_bytes r.er_delta_bytes r.er_delta_s)
+        r.er_full_bytes r.er_delta_bytes r.er_index_s r.er_delta_s)
     rows;
   pf "\n  ]\n}\n";
   close_out oc;
@@ -1668,6 +1669,8 @@ let run_evolve_bench args =
     let t1 = Unix.gettimeofday () in
     let incr = Pl.run ~config:inc_config dist in
     let t2 = Unix.gettimeofday () in
+    ignore (Core.Query.Engine.index incr.Pl.store);
+    let index_s = Unix.gettimeofday () -. t2 in
     let snap_inc = Sn.of_analyzed incr in
     let b_inc = Sn.to_string snap_inc in
     let b_scratch = Sn.to_string (Sn.of_analyzed scratch) in
@@ -1705,13 +1708,14 @@ let run_evolve_bench args =
         er_misses = dm;
         er_full_bytes = String.length b_inc;
         er_delta_bytes = delta_bytes;
+        er_index_s = index_s;
         er_delta_s = delta_s;
       }
       :: !rows;
     Printf.printf
       "  release %2d: identical (%d bytes); scratch %.2fs, incremental \
-       %.2fs, reuse %d/%d%s\n%!"
-      r (String.length b_inc) (t1 -. t0) (t2 -. t1) dh (dh + dm)
+       %.2fs, index %.3fs, reuse %d/%d%s\n%!"
+      r (String.length b_inc) (t1 -. t0) (t2 -. t1) index_s dh (dh + dm)
       (if delta_bytes = 0 then ""
        else Printf.sprintf ", delta %d bytes in %.3fs" delta_bytes delta_s)
   done;

@@ -20,7 +20,26 @@ let vector_of_syscall_nr = function
   | 157 -> Some Prctl
   | _ -> None
 
-let compare = Stdlib.compare
+(* Exactly [Stdlib.compare]'s total order, without the generic C
+   compare: constructors in declaration order, [Vop] by vector rank
+   then code, ints by [Int.compare], strings by [String.compare]. Set
+   iteration, serialization and index interning all follow this order,
+   so it must never drift from the structural one (the test suite
+   checks the two agree in sign on random pairs). *)
+let tag = function Syscall _ -> 0 | Vop _ -> 1 | Pseudo_file _ -> 2 | Libc_sym _ -> 3
+
+let vector_rank = function Ioctl -> 0 | Fcntl -> 1 | Prctl -> 2
+
+let compare a b =
+  match (a, b) with
+  | Syscall x, Syscall y -> Int.compare x y
+  | Vop (v, x), Vop (w, y) ->
+    (match Int.compare (vector_rank v) (vector_rank w) with
+     | 0 -> Int.compare x y
+     | c -> c)
+  | Pseudo_file x, Pseudo_file y | Libc_sym x, Libc_sym y -> String.compare x y
+  | _ -> Int.compare (tag a) (tag b)
+
 let equal a b = compare a b = 0
 
 let hash = Hashtbl.hash

@@ -47,11 +47,12 @@
     the one deliberate exception: float addition is not associative,
     so it is held to the 1e-12 tolerance instead.
 
-    Index construction fans out over {!Lapis_perf.Parmap} — survival
-    products by API range, direct requirement bitsets by package
-    range — and merges deterministically: every per-element fold runs
-    whole on one domain in the oracle's order, so the built index is
-    bit-identical to a sequential build. *)
+    Index construction interns every API once, turning each package's
+    requirement sets into arrays of dense ids that every later plane
+    reads without another hash lookup. Direct requirement bitsets fan
+    out over {!Lapis_perf.Parmap} by package range and merge
+    deterministically (each package's bits are independent), so the
+    built index is bit-identical to a sequential build. *)
 
 open Lapis_apidb
 module Store = Lapis_store.Store
@@ -279,8 +280,11 @@ let index ?domains (store : Store.t) : t =
   let n = store.Store.n_packages in
   let probs = Array.map (fun p -> p.Store.pr_prob) store.Store.packages in
   let names = Array.map (fun p -> p.Store.pr_name) store.Store.packages in
-  (* Intern every API reachable from any package footprint. Sequential:
-     first-seen order defines the dense ids everything below shares. *)
+  (* Intern every API reachable from any package footprint, and turn
+     each package's four sets into arrays of dense ids on the way:
+     the one hash lookup per (package, set, API) the whole build pays.
+     Sequential: first-seen order defines the dense ids everything
+     below shares. *)
   let api_ids = Api.Tbl.create 4096 in
   let rev_apis = ref [] in
   let n_apis = ref 0 in
@@ -294,68 +298,58 @@ let index ?domains (store : Store.t) : t =
       rev_apis := api :: !rev_apis;
       id
   in
-  Array.iter
-    (fun (p : Store.pkg_row) ->
-      Api.Set.iter (fun a -> ignore (intern a)) p.Store.pr_apis;
-      Api.Set.iter (fun a -> ignore (intern a)) p.Store.pr_apis_elf;
-      (* Phased sets are subsets of [pr_apis] on pipeline-built stores,
-         so these add no ids there (the dense universe — and with it
-         every unphased structure — is unchanged); hand-built stores
-         may violate the subset invariant and still get interned. *)
-      Api.Set.iter (fun a -> ignore (intern a)) p.Store.pr_init;
-      Api.Set.iter (fun a -> ignore (intern a)) p.Store.pr_serving)
+  let ids set =
+    let a = Array.make (Api.Set.cardinal set) 0 in
+    let k = ref 0 in
+    Api.Set.iter
+      (fun api ->
+        a.(!k) <- intern api;
+        incr k)
+      set;
+    a
+  in
+  (* Field order is interning order: [pr_apis], [pr_apis_elf], then
+     the phased sets. Phased sets are subsets of [pr_apis] on
+     pipeline-built stores, so they add no ids there (the dense
+     universe — and with it every unphased structure — is unchanged);
+     hand-built stores may violate the subset invariant and still get
+     interned. *)
+  let ids_all = Array.make n [||] and ids_elf = Array.make n [||] in
+  let ids_init = Array.make n [||] and ids_serving = Array.make n [||] in
+  Array.iteri
+    (fun i (p : Store.pkg_row) ->
+      ids_all.(i) <- ids p.Store.pr_apis;
+      ids_elf.(i) <- ids p.Store.pr_apis_elf;
+      ids_init.(i) <- ids p.Store.pr_init;
+      ids_serving.(i) <- ids p.Store.pr_serving)
     store.Store.packages;
   let apis = Array.of_list (List.rev !rev_apis) in
   let n_apis = !n_apis in
-  (* Survival products, folded in the store's dependents order — the
-     same multiply sequence as the Importance oracle. Fanned out by
-     API range; each API's product runs whole on one domain, so the
-     merge (a blit per range) is bit-identical to a sequential build. *)
-  let survival = Array.make n_apis 1.0 in
-  let dep_count = Array.make n_apis 0 in
-  Parmap.map ?domains
-    (fun (lo, hi) ->
-      let s = Array.make (hi - lo) 1.0 in
-      let d = Array.make (hi - lo) 0 in
-      for id = lo to hi - 1 do
-        let deps = Store.dependents store apis.(id) in
-        d.(id - lo) <- List.length deps;
-        s.(id - lo) <-
-          List.fold_left (fun acc i -> acc *. (1.0 -. probs.(i))) 1.0 deps
-      done;
-      (lo, s, d))
-    (ranges n_apis)
-  |> List.iter (fun (lo, s, d) ->
-         Array.blit s 0 survival lo (Array.length s);
-         Array.blit d 0 dep_count lo (Array.length d));
-  let elf_count = Array.make n_apis 0 in
-  Array.iter
-    (fun (p : Store.pkg_row) ->
-      Api.Set.iter
-        (fun a -> elf_count.(Api.Tbl.find api_ids a) <- elf_count.(Api.Tbl.find api_ids a) + 1)
-        p.Store.pr_apis_elf)
-    store.Store.packages;
-  (* Phased survival products: the same multiply, restricted to the
-     packages whose phase-P requirement set has the API. Requirer
-     lists are built by prepending over ascending package order —
-     descending indexes, the exact shape (and so the exact float fold
-     order) of the store's dependents lists behind [survival]. *)
-  let phased_survival pick =
+  (* Requirer lists per API, built by prepending over ascending
+     package order: descending indexes, the exact shape of the store's
+     dependents lists (which [Store.build] accumulates the same way
+     over [pr_apis]). Survival products fold them in that order — the
+     same multiply sequence as the Importance oracle — so every plane
+     is bit-identical to the closed form. *)
+  let requirers (pkg_ids : int array array) =
     let reqrs : int list array = Array.make n_apis [] in
     Array.iteri
-      (fun i (p : Store.pkg_row) ->
-        Api.Set.iter
-          (fun a ->
-            let id = Api.Tbl.find api_ids a in
-            reqrs.(id) <- i :: reqrs.(id))
-          (pick p))
-      store.Store.packages;
-    Array.map
-      (List.fold_left (fun acc i -> acc *. (1.0 -. probs.(i))) 1.0)
-      reqrs
+      (fun i row -> Array.iter (fun id -> reqrs.(id) <- i :: reqrs.(id)) row)
+      pkg_ids;
+    reqrs
   in
-  let survival_init = phased_survival (fun p -> p.Store.pr_init) in
-  let survival_serving = phased_survival (fun p -> p.Store.pr_serving) in
+  let survival_of =
+    Array.map (List.fold_left (fun acc i -> acc *. (1.0 -. probs.(i))) 1.0)
+  in
+  let dependents = requirers ids_all in
+  let survival = survival_of dependents in
+  let dep_count = Array.map List.length dependents in
+  let elf_count = Array.make n_apis 0 in
+  Array.iter
+    (Array.iter (fun id -> elf_count.(id) <- elf_count.(id) + 1))
+    ids_elf;
+  let survival_init = survival_of (requirers ids_init) in
+  let survival_serving = survival_of (requirers ids_serving) in
   (* Resolvable dependency edges and the SCC condensation — shared by
      every phase: temporal attribution changes which APIs a package
      requires, never which packages it depends on. *)
@@ -422,22 +416,20 @@ let index ?domains (store : Store.t) : t =
     (nc, nw, flat, common)
   in
   (* One (API-universe, syscall-universe) class-index pair per phase.
-     Direct requirement bitsets come from [pick], fanned out by
+     Direct requirement bitsets come from [pkg_ids], fanned out by
      package range (each package's bits are independent of every
      other's); closures, dedup and flattening run on them exactly as
      the unphased build always has — the [All] pair reads [pr_apis]
      through the same code path, so its arrays are bit-identical to
      the pre-phase index. *)
-  let build_pair pick =
+  let build_pair (pkg_ids : int array array) =
     let req = Array.make n (Bitset.create 0) in
     Parmap.map ?domains
       (fun (lo, hi) ->
         let rows = Array.make (hi - lo) (Bitset.create 0) in
         for i = lo to hi - 1 do
           let bits = Bitset.create n_apis in
-          Api.Set.iter
-            (fun a -> Bitset.add bits (Api.Tbl.find api_ids a))
-            (pick store.Store.packages.(i));
+          Array.iter (Bitset.add bits) pkg_ids.(i);
           rows.(i - lo) <- bits
         done;
         (lo, rows))
@@ -486,9 +478,9 @@ let index ?domains (store : Store.t) : t =
     in
     (mk class_req req_class_of_comp, mk class_sys sys_class_of_comp)
   in
-  let req_all, sys_all = build_pair (fun p -> p.Store.pr_apis) in
-  let req_init, sys_init = build_pair (fun p -> p.Store.pr_init) in
-  let req_serving, sys_serving = build_pair (fun p -> p.Store.pr_serving) in
+  let req_all, sys_all = build_pair ids_all in
+  let req_init, sys_init = build_pair ids_init in
+  let req_serving, sys_serving = build_pair ids_serving in
   let den = Array.fold_left (fun a p -> a +. p) 0.0 probs in
   (* Flatten the dependents lists into CSR form, preserving the
      store's list order exactly (it defines the survival fold order
@@ -504,7 +496,7 @@ let index ?domains (store : Store.t) : t =
       (fun i ->
         deps_dat.(!k) <- i;
         incr k)
-      (Store.dependents store apis.(id))
+      dependents.(id)
   done;
   let bin_rows =
     store.Store.bins

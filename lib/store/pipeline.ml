@@ -9,6 +9,7 @@ module Binary = Lapis_analysis.Binary
 module Resolve = Lapis_analysis.Resolve
 module Footprint = Lapis_analysis.Footprint
 module P = Lapis_distro.Package
+module Classify = Lapis_elf.Classify
 
 let src = Logs.Src.create "lapis.pipeline"
 module Log = (val Logs.src_log src : Logs.LOG)
@@ -20,12 +21,12 @@ type analyzed = {
 }
 
 let interpreter_package = function
-  | Lapis_elf.Classify.Dash -> Some "dash"
-  | Lapis_elf.Classify.Bash -> Some "bash"
-  | Lapis_elf.Classify.Python -> Some "python2.7"
-  | Lapis_elf.Classify.Perl -> Some "perl"
-  | Lapis_elf.Classify.Ruby -> Some "ruby1.9"
-  | Lapis_elf.Classify.Other_interp _ -> None
+  | Classify.Dash -> Some "dash"
+  | Classify.Bash -> Some "bash"
+  | Classify.Python -> Some "python2.7"
+  | Classify.Perl -> Some "perl"
+  | Classify.Ruby -> Some "ruby1.9"
+  | Classify.Other_interp _ -> None
 
 module Stage = Lapis_perf.Stage
 module Reader = Lapis_elf.Reader
@@ -56,11 +57,20 @@ let analyze_elf ~mode ~decode_fuel bytes : (Binary.t, string) result =
    untouched hash to the same digest and are served from the table
    instead of being re-analyzed. Analysis is a pure function of the
    bytes, so the incremental result is bit-identical to a
-   from-scratch run (the evolve bench asserts this at every epoch). *)
-type analysis_cache = (Digest.t, (Binary.t, string) result) Hashtbl.t
+   from-scratch run (the evolve bench asserts this at every epoch).
+   Classification is a pure function of the bytes too: every file's
+   class (script and data files included) is memoized next to the
+   results, so a file a release leaves untouched costs one digest and
+   table lookups, never an ELF parse. *)
+type analysis_cache = {
+  results : (Digest.t, (Binary.t, string) result) Hashtbl.t;
+  classes : (Digest.t, Classify.t) Hashtbl.t;
+}
 
-let new_cache () : analysis_cache = Hashtbl.create 1024
-let cache_size (c : analysis_cache) = Hashtbl.length c
+let new_cache () : analysis_cache =
+  { results = Hashtbl.create 1024; classes = Hashtbl.create 1024 }
+
+let cache_size (c : analysis_cache) = Hashtbl.length c.results
 
 (* The run configuration record replaces the optional-argument
    accretion ([?mode ?cache ?domains], with [?decode_fuel] next in
@@ -104,37 +114,31 @@ let run ?(config = default) (dist : P.distribution) : analyzed =
      [shared_cache], the same table additionally carries results from
      previous releases of an evolving world, and only the binaries
      whose bytes actually changed are re-analyzed. *)
-  let analysis_of : analysis_cache =
-    match shared_cache with Some c -> c | None -> Hashtbl.create 1024
+  let { results = analysis_of; classes } =
+    match shared_cache with Some c -> c | None -> new_cache ()
   in
   (* Incremental accounting (shared cache only): each distinct payload
      the run touches counts once — as a hit if a previous run already
-     analyzed it, as a miss if this run had to. Their ratio is the
-     cross-release reuse the evolve bench gates on. *)
+     analyzed it, as a miss if this run had to. Every insertion into
+     [analysis_of] below is preceded by [note_payload] on its digest,
+     so at a payload's first note the table holds it exactly when a
+     previous run analyzed it. Their ratio is the cross-release reuse
+     the evolve bench gates on. *)
   let inc_hits = ref 0 and inc_misses = ref 0 in
-  let inherited : (Digest.t, unit) Hashtbl.t =
-    match shared_cache with
-    | None -> Hashtbl.create 1
-    | Some c ->
-      let h = Hashtbl.create (2 * Hashtbl.length c) in
-      Hashtbl.iter (fun d _ -> Hashtbl.replace h d ()) c;
-      h
-  in
   let counted : (Digest.t, unit) Hashtbl.t = Hashtbl.create 256 in
   let note_payload d =
     if shared_cache <> None && not (Hashtbl.mem counted d) then begin
       Hashtbl.replace counted d ();
-      if Hashtbl.mem inherited d then incr inc_hits else incr inc_misses
+      if Hashtbl.mem analysis_of d then incr inc_hits else incr inc_misses
     end
   in
   (* Analyze one world library through the cache: a payload analyzed
      by a previous release (or earlier in this run) is served from the
      table; errors are cached too, so a bad payload is diagnosed once
      but still counted per use site. *)
-  let analyze_lib bytes =
+  let analyze_lib d bytes =
     if not cache then analyze_elf bytes
     else begin
-      let d = Digest.string bytes in
       note_payload d;
       match Hashtbl.find_opt analysis_of d with
       | Some r -> r
@@ -149,8 +153,9 @@ let run ?(config = default) (dist : P.distribution) : analyzed =
   let runtime_bins =
     List.filter_map
       (fun (soname, bytes) ->
-        match analyze_lib bytes with
-        | Ok b -> Some (soname, b)
+        let d = Digest.string bytes in
+        match analyze_lib d bytes with
+        | Ok b -> Some (soname, d, b)
         | Error kind ->
           record_reject kind;
           None)
@@ -159,37 +164,60 @@ let run ?(config = default) (dist : P.distribution) : analyzed =
   let app_lib_bins =
     List.filter_map
       (fun (soname, pkg, bytes) ->
-        match analyze_lib bytes with
+        match analyze_lib (Digest.string bytes) bytes with
         | Ok b -> Some (soname, pkg, b)
         | Error kind ->
           record_reject kind;
           None)
       dist.P.shared_libs
   in
+  let runtime_world = List.map (fun (s, _, b) -> (s, b)) runtime_bins in
   let ld_so =
-    List.assoc_opt "ld-linux-x86-64.so.2" runtime_bins
+    List.assoc_opt "ld-linux-x86-64.so.2" runtime_world
   in
   let world =
     Resolve.make_world ?ld_so
       ~libc_family:(fun soname -> List.mem soname runtime_sonames)
-      (runtime_bins @ List.map (fun (s, _, b) -> (s, b)) app_lib_bins)
+      (runtime_world @ List.map (fun (s, _, b) -> (s, b)) app_lib_bins)
+  in
+  (* Every package file, digested and classified once: the class comes
+     from the digest-keyed memo, so a payload classified by an earlier
+     release (or earlier in this run) is never parsed again for it.
+     Steps 2 and 3 and every binary row reuse both values. *)
+  let classify d bytes =
+    match Hashtbl.find_opt classes d with
+    | Some c -> c
+    | None ->
+      let c = Classify.classify bytes in
+      Hashtbl.replace classes d c;
+      c
+  in
+  let files =
+    List.map
+      (fun (pkg : P.t) ->
+        ( pkg,
+          List.map
+            (fun (f : P.file) ->
+              let d = Digest.string f.P.bytes in
+              (f, d, classify d f.P.bytes))
+            pkg.P.files ))
+      dist.P.packages
   in
   (* 2. per-binary analysis: collect the distinct ELF payloads not
      already analyzed for the world (first-seen order), analyze them —
      fanned out across domains when the host has more than one — and
      serve the aggregation loop from the digest table. *)
   let analysis_for =
-    if not cache then fun (f : P.file) -> analyze_elf f.P.bytes
+    if not cache then fun (f : P.file) _ -> analyze_elf f.P.bytes
     else begin
       let pending = ref [] in
       List.iter
-        (fun (pkg : P.t) ->
+        (fun (_, pkg_files) ->
           List.iter
-            (fun (f : P.file) ->
-              match Lapis_elf.Classify.classify f.P.bytes with
-              | Lapis_elf.Classify.Elf_static | Lapis_elf.Classify.Elf_dynamic
-              | Lapis_elf.Classify.Elf_shared_lib ->
-                let d = Digest.string f.P.bytes in
+            (fun ((f : P.file), d, cls) ->
+              match cls with
+              | Classify.Elf_static | Classify.Elf_dynamic
+              | Classify.Elf_shared_lib ->
                 note_payload d;
                 if not (Hashtbl.mem analysis_of d) then begin
                   (* placeholder marks the digest as claimed; replaced
@@ -197,9 +225,9 @@ let run ?(config = default) (dist : P.distribution) : analyzed =
                   Hashtbl.replace analysis_of d (Error "claimed");
                   pending := (d, f.P.bytes) :: !pending
                 end
-              | Lapis_elf.Classify.Script _ | Lapis_elf.Classify.Data -> ())
-            pkg.P.files)
-        dist.P.packages;
+              | Classify.Script _ | Classify.Data -> ())
+            pkg_files)
+        files;
       let pending = List.rev !pending in
       List.iter2
         (fun (d, _) r -> Hashtbl.replace analysis_of d r)
@@ -207,10 +235,7 @@ let run ?(config = default) (dist : P.distribution) : analyzed =
         (Lapis_perf.Parmap.map ?domains
            (fun (_, bytes) -> analyze_elf bytes)
            pending);
-      fun (f : P.file) ->
-        match Hashtbl.find_opt analysis_of (Digest.string f.P.bytes) with
-        | Some r -> r
-        | None -> analyze_elf f.P.bytes
+      fun _ d -> Hashtbl.find analysis_of d
     end
   in
   (* 3. per-package aggregation *)
@@ -222,16 +247,15 @@ let run ?(config = default) (dist : P.distribution) : analyzed =
   let elf_init = Hashtbl.create 256 in
   let elf_serving = Hashtbl.create 256 in
   List.iter
-    (fun (pkg : P.t) ->
+    (fun ((pkg : P.t), pkg_files) ->
       let apis = ref Api.Set.empty in
       let apis_init = ref Api.Set.empty in
       let apis_serving = ref Api.Set.empty in
       List.iter
-        (fun (f : P.file) ->
-          let cls = Lapis_elf.Classify.classify f.P.bytes in
+        (fun ((f : P.file), d, cls) ->
           match cls with
-          | Lapis_elf.Classify.Elf_static | Lapis_elf.Classify.Elf_dynamic ->
-            (match analysis_for f with
+          | Classify.Elf_static | Classify.Elf_dynamic ->
+            (match analysis_for f d with
              | Error kind -> record_reject kind
              | Ok bin ->
                let resolved =
@@ -250,17 +274,17 @@ let run ?(config = default) (dist : P.distribution) : analyzed =
                    Store.br_path = f.P.path;
                    br_package = pkg.P.name;
                    br_class = cls;
-                   br_digest = Digest.string f.P.bytes;
+                   br_digest = d;
                    br_direct = Resolve.direct_footprint bin;
                    br_resolved = resolved;
                    br_init = init;
                    br_serving = serving;
                  }
                  :: !bins)
-          | Lapis_elf.Classify.Elf_shared_lib ->
+          | Classify.Elf_shared_lib ->
             (* analyzed for attribution, excluded from the package
                footprint (Section 2: union over standalone executables) *)
-            (match analysis_for f with
+            (match analysis_for f d with
              | Error kind -> record_reject kind
              | Ok bin ->
                let resolved =
@@ -272,7 +296,7 @@ let run ?(config = default) (dist : P.distribution) : analyzed =
                    Store.br_path = f.P.path;
                    br_package = pkg.P.name;
                    br_class = cls;
-                   br_digest = Digest.string f.P.bytes;
+                   br_digest = d;
                    br_direct = Resolve.direct_footprint bin;
                    br_resolved = resolved;
                    (* a library has no phase of its own: its items are
@@ -281,7 +305,7 @@ let run ?(config = default) (dist : P.distribution) : analyzed =
                    br_serving = resolved.Footprint.apis;
                  }
                  :: !bins)
-          | Lapis_elf.Classify.Script interp ->
+          | Classify.Script interp ->
             (match interpreter_package interp with
              | Some ipkg ->
                let cur =
@@ -299,14 +323,14 @@ let run ?(config = default) (dist : P.distribution) : analyzed =
                 Store.br_path = f.P.path;
                 br_package = pkg.P.name;
                 br_class = cls;
-                br_digest = Digest.string f.P.bytes;
+                br_digest = d;
                 br_direct = Footprint.empty;
                 br_resolved = Footprint.empty;
                 br_init = Api.Set.empty;
                 br_serving = Api.Set.empty;
               }
               :: !bins
-          | Lapis_elf.Classify.Data ->
+          | Classify.Data ->
             (* a file with the ELF magic that the classifier demoted
                to Data is a malformed binary: count it by error kind
                instead of letting it vanish from the run *)
@@ -317,23 +341,20 @@ let run ?(config = default) (dist : P.distribution) : analyzed =
               | Error e -> record_reject Reader.(kind_name (kind e))
               | Ok _ -> ()
             end)
-        pkg.P.files;
+        pkg_files;
       Hashtbl.replace elf_apis pkg.P.name !apis;
       Hashtbl.replace elf_init pkg.P.name !apis_init;
       Hashtbl.replace elf_serving pkg.P.name !apis_serving)
-    dist.P.packages;
+    files;
   (* runtime binaries belong to libc6, for direct attribution *)
   List.iter
-    (fun (soname, bin) ->
+    (fun (soname, d, bin) ->
       bins :=
         {
           Store.br_path = "/lib/x86_64-linux-gnu/" ^ soname;
           br_package = "libc6";
-          br_class = Lapis_elf.Classify.Elf_shared_lib;
-          br_digest =
-            (match List.assoc_opt soname dist.P.runtime with
-             | Some bytes -> Digest.string bytes
-             | None -> Digest.string soname);
+          br_class = Classify.Elf_shared_lib;
+          br_digest = d;
           br_direct = Resolve.direct_footprint bin;
           br_resolved = Footprint.empty;
           br_init = Api.Set.empty;

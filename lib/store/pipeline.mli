@@ -18,17 +18,21 @@ val interpreter_package : Lapis_elf.Classify.interpreter -> string option
 
 type analysis_cache
 (** Content-hash analysis cache: per-binary analysis results keyed by
-    a digest of the ELF bytes. Hand the same cache to successive
-    {!run}s over releases of an evolving world and only the binaries
-    whose bytes changed are re-analyzed; because analysis is a pure
-    function of the bytes, the incremental result is bit-identical to
-    a from-scratch run. *)
+    a digest of the ELF bytes, and next to them the classification of
+    every file payload (ELF, script or data) keyed the same way. Hand
+    the same cache to successive {!run}s over releases of an evolving
+    world and only the binaries whose bytes changed are re-analyzed;
+    because analysis and classification are pure functions of the
+    bytes, the incremental result is bit-identical to a from-scratch
+    run. A file whose payload the cache has seen costs one digest and
+    its table lookups: it is neither parsed nor analyzed again. *)
 
 val new_cache : unit -> analysis_cache
 (** A fresh, empty cache. *)
 
 val cache_size : analysis_cache -> int
-(** Distinct ELF payloads the cache currently holds. *)
+(** Distinct ELF payloads the cache holds analysis results for;
+    memoized classifications of scripts and data files do not count. *)
 
 type config = {
   mode : Lapis_analysis.Binary.mode;

@@ -312,6 +312,45 @@ let test_normalize () =
   Alcotest.(check string) "plain symbols unchanged" "printf"
     (Libc_variants.normalize "printf")
 
+(* --- Api order ---------------------------------------------------- *)
+
+(* [Api.compare] is hand-written but must be exactly the structural
+   order: sets iterate, snapshots serialize and the index interns in
+   it. Ints cover both signs and the extremes; strings come from a
+   tiny alphabet so shared prefixes and the empty string are common. *)
+let gen_api =
+  QCheck2.Gen.(
+    let int =
+      oneof
+        [ int_range (-3) 3;
+          int;
+          oneofl [ min_int; max_int; min_int + 1; max_int - 1 ] ]
+    in
+    let str = string_size ~gen:(oneofl [ 'a'; 'b'; '/' ]) (int_range 0 4) in
+    let vector = oneofl [ Api.Ioctl; Api.Fcntl; Api.Prctl ] in
+    oneof
+      [ map (fun n -> Api.Syscall n) int;
+        map2 (fun v n -> Api.Vop (v, n)) vector int;
+        map (fun s -> Api.Pseudo_file s) str;
+        map (fun s -> Api.Libc_sym s) str ])
+
+let gen_api_pair =
+  QCheck2.Gen.(
+    let* a = gen_api in
+    (* a third of the pairs compare a value with a copy of itself *)
+    let* b = oneof [ gen_api; gen_api; return a ] in
+    return (a, b))
+
+let print_api_pair (a, b) =
+  Printf.sprintf "%s vs %s" (Api.to_string a) (Api.to_string b)
+
+let prop_compare_is_structural =
+  QCheck2.Test.make ~count:2000 ~name:"Api.compare has Stdlib.compare's order"
+    ~print:print_api_pair gen_api_pair (fun (a, b) ->
+      let sign x = Int.compare x 0 in
+      sign (Api.compare a b) = sign (Stdlib.compare a b)
+      && Api.equal a b = (a = b))
+
 let () =
   Alcotest.run "apidb"
     [ ( "syscall-table",
@@ -348,4 +387,7 @@ let () =
         [ Alcotest.test_case "profiles" `Quick test_systems;
           Alcotest.test_case "supported set" `Quick test_supported_set;
           Alcotest.test_case "libc variants" `Quick test_libc_variant_profiles;
-          Alcotest.test_case "normalize" `Quick test_normalize ] ) ]
+          Alcotest.test_case "normalize" `Quick test_normalize ] );
+      ( "api-order",
+        List.map QCheck_alcotest.to_alcotest [ prop_compare_is_structural ] )
+    ]

@@ -10,6 +10,7 @@ module Pipeline = Core.Db.Pipeline
 module Snapshot = Core.Db.Snapshot
 module Store = Core.Db.Store
 module Stage = Core.Perf.Stage
+module Query = Core.Query.Engine
 
 let config = { G.default_config with n_packages = 60 }
 
@@ -96,6 +97,34 @@ let test_incremental_bit_identical () =
       "warm run missed more than it hit (%d misses vs %d hits) — the \
        cache is not being reused across releases"
       misses hits
+
+(* Output bytes of a release run through a shared cache, pinned: how
+   the pipeline digests, classifies and caches, and how the index
+   interns, are implementation choices; the snapshot and image bytes
+   they produce are not. *)
+let test_output_goldens () =
+  let cache = Pipeline.new_cache () in
+  let pc = { Pipeline.default with shared_cache = Some cache } in
+  let check name dist ~snap ~snap_md5 ~image ~image_md5 =
+    let a = Pipeline.run ~config:pc dist in
+    let s = Snapshot.to_string (Snapshot.of_analyzed a) in
+    let i =
+      match Query.to_image_string (Query.index a.Pipeline.store) with
+      | Ok i -> i
+      | Error e -> Alcotest.failf "%s image: %a" name Snapshot.pp_error e
+    in
+    let md5 x = Digest.to_hex (Digest.string x) in
+    Alcotest.(check int) (name ^ " snapshot bytes") snap (String.length s);
+    Alcotest.(check string) (name ^ " snapshot md5") snap_md5 (md5 s);
+    Alcotest.(check int) (name ^ " image bytes") image (String.length i);
+    Alcotest.(check string) (name ^ " image md5") image_md5 (md5 i)
+  in
+  check "r0" (Lazy.force r0) ~snap:436952
+    ~snap_md5:"ca0ce57d48d9613fbfbaa7aadb4f346d" ~image:707856
+    ~image_md5:"4694c8af042c9db21e00accc373239b9";
+  check "r3" (Lazy.force r3) ~snap:437983
+    ~snap_md5:"e22079bc5b7b8a4c6b1ce16155ecf5d4" ~image:709232
+    ~image_md5:"ad7a08428f626462247af97065ca567f"
 
 (* --- delta snapshots ---------------------------------------------- *)
 
@@ -367,7 +396,8 @@ let () =
           Alcotest.test_case "churn bounded" `Quick test_churn_is_bounded ] );
       ( "incremental",
         [ Alcotest.test_case "bit-identical + counters" `Quick
-            test_incremental_bit_identical ] );
+            test_incremental_bit_identical;
+          Alcotest.test_case "output goldens" `Quick test_output_goldens ] );
       ( "delta",
         [ Alcotest.test_case "round-trip" `Quick test_delta_roundtrip;
           Alcotest.test_case "small" `Quick test_delta_is_small;

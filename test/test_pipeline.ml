@@ -204,6 +204,102 @@ let test_cache_equivalence () =
   Alcotest.(check int) "uncached run passes the spot check" 0
     (List.length (Db.Pipeline.spot_check raw))
 
+let test_shared_cache_quarantine () =
+  (* A truncated executable keeps the ELF magic, classifies as data
+     and is re-parsed for its reject kind at every use site; a second
+     package ships the same bytes. A truncated shared library fails in
+     the world step, so its [Error] lands in the cache and must still
+     be counted on every later run that meets it. Through one shared
+     cache, both runs must quarantine exactly what an uncached run
+     does, and the cache must hold analyses of ELF payloads only. *)
+  let module G = Core.Distro.Generator in
+  let dist =
+    G.generate ~config:{ G.default_config with n_packages = 20; seed = 5 } ()
+  in
+  let cut bytes = String.sub bytes 0 (String.length bytes / 2) in
+  let exe =
+    List.find_map
+      (fun (p : P.t) ->
+        List.find_opt (fun (f : P.file) -> f.P.kind = P.Executable) p.P.files)
+      dist.P.packages
+    |> Option.get
+  in
+  let lib_soname, lib_owner, lib_bytes = List.hd dist.P.shared_libs in
+  let bad_exe = cut exe.P.bytes and bad_lib = cut lib_bytes in
+  let truncate (f : P.file) =
+    if f.P.bytes = exe.P.bytes then { f with P.bytes = bad_exe }
+    else if f.P.bytes = lib_bytes then { f with P.bytes = bad_lib }
+    else f
+  in
+  let copy_holder =
+    List.find
+      (fun (p : P.t) -> not (List.memq exe p.P.files) && p.P.name <> lib_owner)
+      dist.P.packages
+  in
+  let packages =
+    List.map
+      (fun (p : P.t) ->
+        let files = List.map truncate p.P.files in
+        if p == copy_holder then
+          { p with
+            P.files =
+              files
+              @ [ { P.path = "/usr/bin/truncated-copy"; kind = P.Executable;
+                    bytes = bad_exe } ] }
+        else { p with P.files })
+      dist.P.packages
+  in
+  let shared_libs =
+    List.map
+      (fun (soname, pkg, bytes) ->
+        if soname = lib_soname && pkg = lib_owner then (soname, pkg, bad_lib)
+        else (soname, pkg, bytes))
+      dist.P.shared_libs
+  in
+  let dist = { dist with P.packages; shared_libs } in
+  let rejects (a : Db.Pipeline.analyzed) =
+    a.Db.Pipeline.world.Core.Analysis.Resolve.stats
+      .Core.Analysis.Resolve.rejects
+  in
+  let raw =
+    Db.Pipeline.run ~config:{ Db.Pipeline.default with cache = false } dist
+  in
+  (* two executable copies, the library's world entry and its file *)
+  Alcotest.(check (list (pair string int)))
+    "uncached run quarantines every use site" [ ("truncated", 4) ]
+    (rejects raw);
+  (* the payloads a cache may hold: world libraries and package files
+     that classify as ELF *)
+  let elf_payloads = Hashtbl.create 256 in
+  let note bytes = Hashtbl.replace elf_payloads (Digest.string bytes) () in
+  List.iter (fun (_, bytes) -> note bytes) dist.P.runtime;
+  List.iter (fun (_, _, bytes) -> note bytes) dist.P.shared_libs;
+  List.iter
+    (fun (p : P.t) ->
+      List.iter
+        (fun (f : P.file) ->
+          match Core.Elf.Classify.classify f.P.bytes with
+          | Core.Elf.Classify.Elf_static | Core.Elf.Classify.Elf_dynamic
+          | Core.Elf.Classify.Elf_shared_lib -> note f.P.bytes
+          | Core.Elf.Classify.Script _ | Core.Elf.Classify.Data -> ())
+        p.P.files)
+    dist.P.packages;
+  let cache = Db.Pipeline.new_cache () in
+  let pc = { Db.Pipeline.default with shared_cache = Some cache } in
+  List.iter
+    (fun run ->
+      let a = Db.Pipeline.run ~config:pc dist in
+      Alcotest.(check (list (pair string int)))
+        (run ^ ": rejects match the uncached run") (rejects raw) (rejects a);
+      Alcotest.(check int)
+        (run ^ ": quarantined matches the uncached run")
+        (Db.Pipeline.quarantined raw) (Db.Pipeline.quarantined a);
+      Alcotest.(check int)
+        (run ^ ": cache holds ELF payloads only")
+        (Hashtbl.length elf_payloads)
+        (Db.Pipeline.cache_size cache))
+    [ "first run"; "second run" ]
+
 let () =
   Alcotest.run "pipeline"
     [ ( "pipeline",
@@ -227,4 +323,6 @@ let () =
           Alcotest.test_case "parmap propagates exceptions" `Quick
             test_parmap_exception;
           Alcotest.test_case "cache equivalence" `Slow
-            test_cache_equivalence ] ) ]
+            test_cache_equivalence;
+          Alcotest.test_case "quarantine through a shared cache" `Quick
+            test_shared_cache_quarantine ] ) ]
