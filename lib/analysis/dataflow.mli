@@ -68,11 +68,6 @@ type result = {
           the footprint may under-approximate (counted, never silent) *)
 }
 
-val default_fuel : int
-(** Fixpoint transfer budget: real functions converge well within it;
-    only adversarial CFGs (thousands of single-instruction blocks
-    cross-jumping each other) hit it. *)
-
 val analyze :
   ?fuel:int -> Scan.context -> (int * Lapis_x86.Insn.t * int) list -> result
 (** Run the fixpoint over one function's decoded instructions

@@ -33,7 +33,7 @@ type world = {
           executables of a package share import sets, so the expensive
           per-import union runs once per distinct set *)
   mutable ld_so_fp : Footprint.t option;
-      (** once-per-world cache of {!ld_so_footprint} *)
+      (** once-per-world cache of the dynamic linker's own footprint *)
   stats : stats;  (** resolution-effort counters, for tests and tuning *)
 }
 
@@ -49,10 +49,6 @@ val export_footprint : world -> string -> string -> Footprint.t
     local function, unioned with the resolved footprints of every
     import those functions make. Memoized; cycles yield the empty
     footprint at the back-edge. *)
-
-val ld_so_footprint : world -> Footprint.t
-(** The footprint the dynamic linker contributes to every
-    dynamically-linked program (Table 5). *)
 
 val binary_footprint : world -> Binary.t -> Footprint.t
 (** The full resolved footprint of one binary: entry-point closure

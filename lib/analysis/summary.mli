@@ -32,5 +32,4 @@ val resolve_site : site -> int64 list -> Footprint.t option
     is not constant there (the site stays unresolved for that
     caller). *)
 
-val pp_site : Format.formatter -> site -> unit
 val pp : Format.formatter -> t -> unit

@@ -10,8 +10,6 @@ open Lapis_apidb
 
 type limits = { max_steps : int; max_depth : int }
 
-val default_limits : limits
-
 type outcome =
   | Finished  (** the program returned from its entry point *)
   | Step_limit

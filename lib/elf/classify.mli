@@ -10,15 +10,8 @@ type t =
   | Script of interpreter
   | Data  (** neither ELF nor an executable script *)
 
-val interpreter_name : interpreter -> string
-
 val name : t -> string
 (** Human-readable label, matching Figure 1's legend. *)
-
-val interpreter_of_path : string -> interpreter
-(** Interpreter identity from a shebang program path; version suffixes
-    are stripped ([python2.7] -> Python) and [env] indirection is
-    handled by {!classify}. *)
 
 val classify : string -> t
 (** Classify file contents: ELF magic + header kind, [#!] shebang, or

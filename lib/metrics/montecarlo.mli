@@ -6,14 +6,6 @@ open Lapis_apidb
 module Store = Lapis_store.Store
 module Rng = Lapis_distro.Rng
 
-type installation = bool array
-(** One sampled installation, indexed like [store.packages]. *)
-
-val sample_installation : Rng.t -> Store.t -> installation
-(** Draw an installation: each package independently with its popcon
-    probability, then the APT dependency closure pulls dependencies
-    in. *)
-
 val empirical_importance :
   ?samples:int -> seed:int -> Store.t -> Api.t -> float
 (** Fraction of sampled installations containing at least one

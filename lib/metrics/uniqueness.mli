@@ -12,10 +12,6 @@ type stats = {
           measures roughly a third of all applications *)
 }
 
-val syscall_key : Api.Set.t -> int list
-(** The sorted system call numbers of a footprint — the identity under
-    which footprints are compared. *)
-
 val of_store : Store.t -> stats
 (** Footprint statistics over every ELF executable in the store. *)
 

@@ -123,11 +123,6 @@ let of_list u ids =
   List.iter (fun i -> if i >= 0 && i < u then add t i) ids;
   t
 
-let of_sorted_array u arr =
-  let t = create u in
-  Array.iter (fun i -> if i >= 0 && i < u then add t i) arr;
-  t
-
 let to_bytes t =
   let len = (t.u + 7) / 8 in
   let b = Bytes.make len '\000' in

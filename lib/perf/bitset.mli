@@ -69,8 +69,6 @@ val of_list : int -> int list -> t
 (** [of_list u ids] adds every id, ignoring ids outside the universe
     (callers filter semantically, not defensively). *)
 
-val of_sorted_array : int -> int array -> t
-
 val to_bytes : t -> string
 (** Little-endian bit packing — bit [i] lives in byte [i / 8] at bit
     [i mod 8] — independent of the in-memory word size, for wire
@@ -109,15 +107,12 @@ type floats =
   | Floats_heap of float array
   | Floats_map of { fba : float_ba; foff : int; flen : int }
 
-val words_len : words -> int
-
 val words_get : words -> int -> int
 (** Bounds-checked element read (both backends). *)
 
 val words_to_array : words -> int array
 (** Materialize to a fresh heap array (both backends). *)
 
-val floats_len : floats -> int
 val floats_get : floats -> int -> float
 val floats_to_array : floats -> float array
 

@@ -141,11 +141,3 @@ let reset () =
   Mutex.protect reg_lock (fun () ->
       Hashtbl.reset registry;
       reg_order := [])
-
-let pp_all ppf () =
-  List.iter
-    (fun (name, s) ->
-      Fmt.pf ppf "  %-22s n=%-8d p50=%8.1fus p95=%8.1fus p99=%8.1fus max=%8.1fus@\n"
-        name s.h_count (s.h_p50 /. 1e3) (s.h_p95 /. 1e3) (s.h_p99 /. 1e3)
-        (s.h_max /. 1e3))
-    (all ())

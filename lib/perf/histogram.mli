@@ -65,7 +65,3 @@ val all : unit -> (string * summary) list
 
 val reset : unit -> unit
 (** Drop every registered histogram (tests and bench reruns). *)
-
-val pp_all : Format.formatter -> unit -> unit
-(** Human-readable registry dump (microsecond units), appended to the
-    {!Stage} report by the CLI's [--stats]. *)

@@ -22,7 +22,6 @@ let supported_versions = [ 1 ]
 
 type codec = Json_lines | Binary
 
-let codec_name = function Json_lines -> "json" | Binary -> "binary"
 let codec_names = [ "json"; "binary" ]
 
 let bad_request = "bad-request"

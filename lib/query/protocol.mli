@@ -37,9 +37,6 @@ val supported_versions : int list
 
 type codec = Json_lines | Binary
 
-val codec_name : codec -> string
-(** ["json"] / ["binary"] — the names [hello] advertises. *)
-
 val codec_names : string list
 
 val negotiate : int list -> (int, string * string) result

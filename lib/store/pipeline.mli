@@ -12,10 +12,6 @@ type analyzed = {
   dist : Lapis_distro.Package.distribution;
 }
 
-val interpreter_package : Lapis_elf.Classify.interpreter -> string option
-(** The package owning an interpreter (dash scripts -> "dash", python
-    -> "python2.7", ...); [None] for interpreters outside the model. *)
-
 type analysis_cache
 (** Content-hash analysis cache: per-binary analysis results keyed by
     a digest of the ELF bytes, and next to them the classification of

@@ -52,14 +52,14 @@ module Classify = Lapis_elf.Classify
 let magic = "LAPISNAP"
 
 (* The version line shares one numbering space with the sibling
-   formats: versions 1-3 and 6 are row snapshots decoded here (6 adds
-   the evolution release to the metadata), version 4 is the query
-   engine's mmap-able index image, version 5 is a delta snapshot that
-   can only be decoded against its base (see [apply_delta]). *)
+   formats: version 6 is the row snapshot decoded here, version 4 is
+   the query engine's mmap-able index image, version 5 is a delta
+   snapshot that can only be decoded against its base (see
+   [apply_delta]). Versions 1-3 were earlier row formats; nothing
+   writes them any more and this build refuses them. *)
 let format_version = 6
 let delta_version = 5
 let image_version = 4  (* owned by the query engine's mapped loader *)
-let min_version = 1  (* oldest row format this build still reads *)
 let header_len = 8 + 4 + 16 + 8
 
 type meta = {
@@ -426,13 +426,7 @@ let r_api c =
   | 3 -> Api.Libc_sym (r_str c "api.libc")
   | t -> raise (Fail (Corrupt (Printf.sprintf "unknown api tag %d" t)))
 
-(* Format 1 sets: element-wise. *)
-let r_api_set c =
-  let n = r_varint c "api-set" in
-  let rec go acc k = if k = 0 then acc else go (Api.Set.add (r_api c) acc) (k - 1) in
-  go Api.Set.empty n
-
-(* Format 2 sets: a bitset over the dictionary read earlier. *)
+(* An API set: a bitset over the dictionary read earlier. *)
 let r_api_set_packed (dict : Api.t array) c =
   let bytes = r_str c "api-set.bits" in
   match Lapis_perf.Bitset.of_bytes (Array.length dict) bytes with
@@ -472,9 +466,7 @@ let r_class c =
   | 4 -> Classify.Data
   | t -> raise (Fail (Corrupt (Printf.sprintf "unknown class tag %d" t)))
 
-(* Pre-format-3 rows carry no temporal attribution: both phases
-   default to the row's full footprint, the conservative reading. *)
-let r_pkg_row ~phased read_set c : Store.pkg_row =
+let r_pkg_row read_set c : Store.pkg_row =
   let pr_name = r_str c "pkg.name" in
   let pr_installs = r_int c "pkg.installs" in
   let pr_prob = r_float c "pkg.prob" in
@@ -482,29 +474,25 @@ let r_pkg_row ~phased read_set c : Store.pkg_row =
   let pr_essential = r_bool c "pkg.essential" in
   let pr_apis = read_set c in
   let pr_apis_elf = read_set c in
-  let pr_init = if phased then read_set c else pr_apis in
-  let pr_serving = if phased then read_set c else pr_apis in
+  let pr_init = read_set c in
+  let pr_serving = read_set c in
   { Store.pr_name; pr_installs; pr_prob; pr_deps; pr_essential; pr_apis;
     pr_apis_elf; pr_init; pr_serving }
 
-let r_bin_row ~phased read_set c : Store.bin_row =
+let r_bin_row read_set c : Store.bin_row =
   let br_path = r_str c "bin.path" in
   let br_package = r_str c "bin.package" in
   let br_class = r_class c in
   let br_digest = r_digest c "bin.digest" in
   let br_direct = r_footprint read_set c in
   let br_resolved = r_footprint read_set c in
-  let br_init =
-    if phased then read_set c else br_resolved.Footprint.apis
-  in
-  let br_serving =
-    if phased then read_set c else br_resolved.Footprint.apis
-  in
+  let br_init = read_set c in
+  let br_serving = read_set c in
   { Store.br_path; br_package; br_class; br_digest; br_direct; br_resolved;
     br_init; br_serving }
 
-(* Validate the framing shared by every version — magic, version
-   range, payload digest — and hand back a cursor over the payload.
+(* Validate the framing shared by the row and delta formats — magic,
+   version, payload digest — and hand back a cursor over the payload.
    Raises [Fail]; callers route on the returned version. *)
 let open_payload (s : string) : cursor * int =
   (* judge the magic on whatever prefix is present, so data from a
@@ -519,9 +507,8 @@ let open_payload (s : string) : cursor * int =
   (* index images share the magic but not this header layout, so they
      must be refused on the version alone — reading our digest/length
      fields from one would misreport the damage *)
-  if version < min_version || version > format_version
-     || version = image_version
-  then raise (Fail (Unsupported_version version));
+  if version <> format_version && version <> delta_version then
+    raise (Fail (Unsupported_version version));
   let stored_digest = String.sub s 12 16 in
   let payload_len = Int64.to_int (String.get_int64_le s 28) in
   if payload_len < 0 || header_len + payload_len > String.length s then
@@ -540,20 +527,18 @@ type r_meta = {
   rm_release : int;
 }
 
-let r_meta ~version c =
+let r_meta c =
   let rm_seed = r_int c "meta.seed" in
   let rm_n_packages = r_int c "meta.n-packages" in
   let rm_total_installs = r_int c "meta.total-installs" in
   let rm_source_key = r_str c "meta.source-key" in
-  (* pre-format-6 files predate the living-distribution work, so the
-     only release they can hold is 0 — the correct default *)
-  let rm_release = if version >= 5 then r_int c "meta.release" else 0 in
+  let rm_release = r_int c "meta.release" in
   { rm_seed; rm_n_packages; rm_total_installs; rm_source_key; rm_release }
 
 let of_string (s : string) : (t, error) result =
   try
     let c, version = open_payload s in
-    let m = r_meta ~version c in
+    let m = r_meta c in
     if version = delta_version then
       (* a delta cannot be decoded standalone: report which base it
          wants so the caller can fetch it *)
@@ -563,17 +548,10 @@ let of_string (s : string) : (t, error) result =
     let total_installs = m.rm_total_installs in
     let skey = m.rm_source_key in
     let read_set =
-      if version >= 2 then begin
-        let dict =
-          Array.of_list (r_list c r_api "api-dictionary")
-        in
-        r_api_set_packed dict
-      end
-      else r_api_set
+      r_api_set_packed (Array.of_list (r_list c r_api "api-dictionary"))
     in
-    let phased = version >= 3 in
-    let packages = r_list c (r_pkg_row ~phased read_set) "packages" in
-    let bins = r_list c (r_bin_row ~phased read_set) "binaries" in
+    let packages = r_list c (r_pkg_row read_set) "packages" in
+    let bins = r_list c (r_bin_row read_set) "binaries" in
     let rejects =
       r_list c
         (fun c ->
@@ -736,7 +714,7 @@ let apply_delta ~(base : t) (s : string) : (t, error) result =
     let c, version = open_payload s in
     if version <> delta_version then
       raise (Fail (Unsupported_version version));
-    let m = r_meta ~version c in
+    let m = r_meta c in
     let want = r_digest c "delta.base-digest" in
     let have = base_digest base in
     if not (Digest.equal want have) then
@@ -763,12 +741,12 @@ let apply_delta ~(base : t) (s : string) : (t, error) result =
     in
     let packages =
       r_list c
-        (r_instr base_pkgs (r_pkg_row ~phased:true read_set) "delta.pkg")
+        (r_instr base_pkgs (r_pkg_row read_set) "delta.pkg")
         "delta.packages"
     in
     let bins =
       r_list c
-        (r_instr base_bins (r_bin_row ~phased:true read_set) "delta.bin")
+        (r_instr base_bins (r_bin_row read_set) "delta.bin")
         "delta.binaries"
     in
     let rejects =

@@ -25,8 +25,9 @@
 val magic : string
 
 val format_version : int
-(** Version written for full row snapshots (currently 6, which adds
-    the evolution release to the metadata; versions 1–3 still load). *)
+(** Version of full row snapshots (6), the only row format this build
+    reads or writes: the earlier row formats 1–3 decode to
+    [Unsupported_version]. *)
 
 val delta_version : int
 (** Version of delta snapshots (5): decodable only against the base
@@ -49,8 +50,8 @@ type meta = {
           {e requested} count because small corpora are padded up to
           the generator's fixed roster. *)
   release : int;
-      (** evolution release the snapshotted world was at; 0 for files
-          written before format 6, the only release they could hold *)
+      (** evolution release the snapshotted world was at; every row
+          and delta format this build reads carries it *)
 }
 
 type t = {
@@ -144,7 +145,7 @@ val load_delta : string -> base:t -> (t, error) result
 
 val file_version : string -> (int, error) result
 (** Read just the magic and version word of a file — the router that
-    distinguishes decode-and-build row snapshots (versions 1–3, 6)
+    distinguishes decode-and-build row snapshots (version 6)
     from format-4 index images (loaded by the query engine's mapped
     loader) and format-5 deltas (decoded by {!apply_delta} against
     their base). *)

@@ -45,8 +45,6 @@ type t = {
 
 let find t name = Hashtbl.find_opt t.pkg_index name |> Option.map (fun i -> t.packages.(i))
 
-let package_names t = Array.to_list (Array.map (fun p -> p.pr_name) t.packages)
-
 let dependents t api =
   Option.value ~default:[] (Api.Tbl.find_opt t.api_dependents api)
 

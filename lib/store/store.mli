@@ -51,8 +51,6 @@ type t = {
 
 val find : t -> string -> pkg_row option
 
-val package_names : t -> string list
-
 val dependents : t -> Api.t -> int list
 (** Indexes of the packages whose footprint contains the API. *)
 

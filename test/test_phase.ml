@@ -1,16 +1,14 @@
 (* Tests for temporal phase attribution: calibration against the
    generator's planted init/serving ground truth, the union invariant
    that keeps unphased results bit-identical, phase-filtered
-   completeness monotonicity, and the snapshot format-3 phase fields
-   (round-trip, plus format-2 inputs defaulting both phases to the
-   full footprint). *)
+   completeness monotonicity, and the snapshot phase fields
+   (round-trip, plus the retired row formats 1-3 being refused). *)
 
 module Api = Core.Apidb.Api
 module Store = Core.Db.Store
 module Snapshot = Core.Db.Snapshot
 module Query = Core.Query.Engine
 module Phases = Core.Study.Phases
-module Bitset = Core.Perf.Bitset
 module Rng = Core.Distro.Rng
 
 let env = lazy (Core.Study.Env.create_small ())
@@ -143,106 +141,24 @@ let test_snapshot_phase_roundtrip () =
      everything-in-both-phases encoding *)
   Alcotest.(check bool) "some phased packages survive" true (!phased > 0)
 
-(* --- snapshot format 2: phases default to Both ------------------------- *)
+(* --- retired row formats ---------------------------------------------- *)
 
-(* A hand-rolled format-2 writer for a tiny store, mirroring the v2
-   wire layout (same as v3 minus the two phase sets per package/binary
-   row). The current writer only emits format 3, so backward
-   compatibility has to be exercised against synthesized v2 bytes. *)
-let v2_bytes ~apis ~elf_apis =
-  let b = Buffer.create 256 in
-  let w_varint n =
-    let n = ref n in
-    let stop = ref false in
-    while not !stop do
-      let byte = !n land 0x7f in
-      n := !n lsr 7;
-      if !n = 0 then begin
-        Buffer.add_char b (Char.chr byte);
-        stop := true
-      end
-      else Buffer.add_char b (Char.chr (byte lor 0x80))
-    done
-  in
-  let w_int i = w_varint ((i lsl 1) lxor (i asr 62)) in
-  let w_str s =
-    w_varint (String.length s);
-    Buffer.add_string b s
-  in
-  let w_float f =
-    let scratch = Bytes.create 8 in
-    Bytes.set_int64_le scratch 0 (Int64.bits_of_float f);
-    Buffer.add_bytes b scratch
-  in
-  (* dictionary in writer interning order: pr_apis first, then
-     pr_apis_elf (a subset here, so it adds nothing) *)
-  let dict = List.sort_uniq compare apis in
-  let id api =
-    let rec go i = function
-      | [] -> Alcotest.failf "api not in dict"
-      | a :: _ when a = api -> i
-      | _ :: tl -> go (i + 1) tl
-    in
-    go 0 dict
-  in
-  let w_set set =
-    let bits = Bitset.of_list (List.length dict) (List.map id set) in
-    w_str (Bitset.to_bytes bits)
-  in
-  (* payload: meta ints, source key, dict, one package row, no
-     binaries, no rejects *)
-  w_int 7;
-  w_int 1;
-  w_int 1000;
-  w_str "v2-test";
-  w_varint (List.length dict);
+(* Nothing writes row formats 1-3 any more, so a well-framed header
+   carrying one of those versions must be refused on the version alone. *)
+let test_retired_formats_unsupported () =
   List.iter
-    (fun api ->
-      match api with
-      | Api.Syscall nr ->
-        Buffer.add_char b '\000';
-        w_int nr
-      | _ -> Alcotest.failf "v2 fixture only plants syscalls")
-    dict;
-  w_varint 1;
-  w_str "pkg-v2";
-  w_int 1000;
-  w_float 0.5;
-  w_varint 0;
-  Buffer.add_char b '\000';
-  w_set apis;
-  w_set elf_apis;
-  w_varint 0;
-  w_varint 0;
-  let payload = Buffer.contents b in
-  let out = Buffer.create (36 + String.length payload) in
-  Buffer.add_string out "LAPISNAP";
-  let scratch = Bytes.create 8 in
-  Bytes.set_int32_le scratch 0 2l;
-  Buffer.add_subbytes out scratch 0 4;
-  Buffer.add_string out (Digest.string payload);
-  Bytes.set_int64_le scratch 0 (Int64.of_int (String.length payload));
-  Buffer.add_bytes out scratch;
-  Buffer.add_string out payload;
-  Buffer.contents out
-
-let test_snapshot_v2_defaults_both () =
-  let apis = [ Api.Syscall 0; Api.Syscall 1; Api.Syscall 60 ] in
-  let bytes = v2_bytes ~apis ~elf_apis:[ Api.Syscall 0 ] in
-  match Snapshot.of_string bytes with
-  | Error e -> Alcotest.failf "v2 decode: %a" Snapshot.pp_error e
-  | Ok snap ->
-    Alcotest.(check int) "version preserved" 2
-      snap.Snapshot.meta.Snapshot.version;
-    let p = snap.Snapshot.store.Store.packages.(0) in
-    Alcotest.(check int) "footprint size" 3
-      (Api.Set.cardinal p.Store.pr_apis);
-    (* pre-phase rows know nothing about time: both phases default to
-       the full footprint, i.e. every API is Both *)
-    Alcotest.(check bool) "init defaults to footprint" true
-      (Api.Set.equal p.Store.pr_init p.Store.pr_apis);
-    Alcotest.(check bool) "serving defaults to footprint" true
-      (Api.Set.equal p.Store.pr_serving p.Store.pr_apis)
+    (fun v ->
+      let payload = "" in
+      let b = Buffer.create 36 in
+      Buffer.add_string b "LAPISNAP";
+      Buffer.add_int32_le b (Int32.of_int v);
+      Buffer.add_string b (Digest.string payload);
+      Buffer.add_int64_le b (Int64.of_int (String.length payload));
+      match Snapshot.of_string (Buffer.contents b) with
+      | Error (Snapshot.Unsupported_version v') when v' = v -> ()
+      | Error e -> Alcotest.failf "format %d: %a" v Snapshot.pp_error e
+      | Ok _ -> Alcotest.failf "format %d decoded" v)
+    [ 1; 2; 3 ]
 
 let () =
   Alcotest.run "phase"
@@ -259,6 +175,6 @@ let () =
       ( "snapshot",
         [ Alcotest.test_case "format-3 round-trip" `Quick
             test_snapshot_phase_roundtrip;
-          Alcotest.test_case "format-2 defaults to Both" `Quick
-            test_snapshot_v2_defaults_both ] )
+          Alcotest.test_case "formats 1-3 are unsupported" `Quick
+            test_retired_formats_unsupported ] )
     ]
