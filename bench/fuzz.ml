@@ -12,74 +12,51 @@
    errors or a working index, never a crash. [--image-cases 0]
    skips it.
 
-   Usage:
+   Usage (a bad or unknown argument exits 2):
      dune exec bench/fuzz.exe -- [--seed N] [--cases N] [--packages N]
-                                 [--image-cases N] [--no-trace]
-                                 [--max-seconds S] *)
+                                 [--image-cases N] [--max-seconds S] *)
 
 module H = Core.Fuzz.Harness
 
-let usage () =
-  prerr_endline
-    "usage: bench/fuzz.exe [--seed N] [--cases N] [--packages N] \
-     [--image-cases N] [--no-trace] [--max-seconds S]";
-  exit 2
+let cfg = ref H.default_config
+let image_cases = ref 1_000
+let max_seconds = ref None
 
-let parse_args () =
-  let cfg = ref H.default_config
-  and image_cases = ref 1_000
-  and max_seconds = ref None in
-  let pos_int name n k =
-    match int_of_string_opt n with
-    | Some v when v > 0 -> k v
-    | Some _ | None ->
-      Printf.eprintf "fuzz: %s expects a positive integer, got %S\n" name n;
-      usage ()
-  in
-  let rec go = function
-    | [] -> ()
-    | "--seed" :: n :: rest ->
-      (match int_of_string_opt n with
-       | Some v -> cfg := { !cfg with H.seed = v }
-       | None ->
-         Printf.eprintf "fuzz: --seed expects an integer, got %S\n" n;
-         usage ());
-      go rest
-    | "--cases" :: n :: rest ->
-      pos_int "--cases" n (fun v -> cfg := { !cfg with H.cases = v });
-      go rest
-    | "--packages" :: n :: rest ->
-      pos_int "--packages" n (fun v ->
-          cfg := { !cfg with H.base_packages = v });
-      go rest
-    | "--image-cases" :: n :: rest ->
-      (match int_of_string_opt n with
-       | Some v when v >= 0 -> image_cases := v
-       | Some _ | None ->
-         Printf.eprintf
-           "fuzz: --image-cases expects a non-negative integer, got %S\n" n;
-         usage ());
-      go rest
-    | "--no-trace" :: rest ->
-      cfg := { !cfg with H.trace = false };
-      go rest
-    | "--max-seconds" :: n :: rest ->
-      pos_int "--max-seconds" n (fun v -> max_seconds := Some v);
-      go rest
-    | [ ("--seed" | "--cases" | "--packages" | "--image-cases"
-        | "--max-seconds") ] ->
-      prerr_endline "fuzz: missing argument";
-      usage ()
-    | arg :: _ ->
-      Printf.eprintf "fuzz: unknown argument %s\n" arg;
-      usage ()
-  in
-  go (List.tl (Array.to_list Sys.argv));
-  (!cfg, !image_cases, !max_seconds)
+let bad name what v =
+  raise (Arg.Bad (Printf.sprintf "%s expects a %s, got %d" name what v))
+
+let positive name set doc =
+  ( name,
+    Arg.Int (fun v -> if v > 0 then set v else bad name "positive integer" v),
+    doc )
+
+let specs =
+  Arg.align
+    [ ( "--seed",
+        Arg.Int (fun v -> cfg := { !cfg with H.seed = v }),
+        "N campaign seed; a failure replays from it (61453)" );
+      positive "--cases"
+        (fun v -> cfg := { !cfg with H.cases = v })
+        "N mutated ELF inputs (1000)";
+      positive "--packages"
+        (fun v -> cfg := { !cfg with H.base_packages = v })
+        "N packages in the seed corpus (25)";
+      ( "--image-cases",
+        Arg.Int
+          (fun v ->
+            if v >= 0 then image_cases := v
+            else bad "--image-cases" "non-negative integer" v),
+        "N mutated index images; 0 skips that campaign (1000)" );
+      positive "--max-seconds"
+        (fun v -> max_seconds := Some v)
+        "S fail when the campaign takes longer" ]
 
 let () =
   Printexc.record_backtrace true;
-  let cfg, image_cases, max_seconds = parse_args () in
+  Arg.parse specs
+    (fun a -> raise (Arg.Bad ("unknown argument " ^ a)))
+    "usage: bench/fuzz.exe [OPTION...]";
+  let cfg = !cfg in
   Printf.printf
     "Fuzzing the ingestion path: %d cases over a %d-package corpus \
      (seed %d, replay with --seed %d).\n%!"
@@ -96,11 +73,13 @@ let () =
       report.H.r_seed;
     failed := true
   end;
-  if image_cases > 0 then begin
+  if !image_cases > 0 then begin
     Printf.printf
-      "Fuzzing the index-image loader: %d cases (seed %d).\n%!" image_cases
+      "Fuzzing the index-image loader: %d cases (seed %d).\n%!" !image_cases
       cfg.H.seed;
-    let ireport = H.run_images ~config:{ cfg with H.cases = image_cases } () in
+    let ireport =
+      H.run_images ~config:{ cfg with H.cases = !image_cases } ()
+    in
     Fmt.pr "%a" H.pp_image_report ireport;
     if ireport.H.ii_crashes <> [] then begin
       Printf.eprintf
@@ -111,7 +90,7 @@ let () =
       failed := true
     end
   end;
-  (match max_seconds with
+  (match !max_seconds with
    | Some budget when wall > float_of_int budget ->
      Printf.eprintf
        "fuzz: FAIL: campaign exceeded its %ds wall-clock budget (%.1fs) — \

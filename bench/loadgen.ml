@@ -167,17 +167,22 @@ let () =
     float_of_int ph.Loadgen.sent /. Float.max 1e-9 ph.Loadgen.elapsed_s
   in
   let p99 = pct 0.99 in
-  Printf.printf
-    "{\"mode\": \"%s\", \"clients\": %d, \"requests\": %d, \"errors\": %d, \
-     \"degraded\": %d, \"seconds\": %.3f, \"throughput_rps\": %.1f, \
-     \"offered_rps\": %.1f, \"max_send_late_ms\": %.1f, \
-     \"lat_p50_ms\": %.3f, \"lat_p95_ms\": %.3f, \"lat_p99_ms\": %.3f, \
-     \"lat_max_ms\": %.3f}\n%!"
-    (if open_loop then "open" else "closed")
-    !clients ph.Loadgen.sent ph.Loadgen.wrong ph.Loadgen.refused
-    ph.Loadgen.elapsed_s rps
-    (if open_loop then !open_rate else rps)
-    max_late_ms (pct 0.5) (pct 0.95) p99 (pct 1.0);
+  print_endline
+    (Json.to_string
+       (Json.Obj
+          [ ("mode", Json.Str (if open_loop then "open" else "closed"));
+            ("clients", Json.Num (float_of_int !clients));
+            ("requests", Json.Num (float_of_int ph.Loadgen.sent));
+            ("errors", Json.Num (float_of_int ph.Loadgen.wrong));
+            ("degraded", Json.Num (float_of_int ph.Loadgen.refused));
+            ("seconds", Json.Num ph.Loadgen.elapsed_s);
+            ("throughput_rps", Json.Num rps);
+            ("offered_rps", Json.Num (if open_loop then !open_rate else rps));
+            ("max_send_late_ms", Json.Num max_late_ms);
+            ("lat_p50_ms", Json.Num (pct 0.5));
+            ("lat_p95_ms", Json.Num (pct 0.95));
+            ("lat_p99_ms", Json.Num p99);
+            ("lat_max_ms", Json.Num (pct 1.0)) ]));
   if ph.Loadgen.wrong > 0 then exit 1;
   if !expect_degraded && ph.Loadgen.refused = 0 then
     fail "expected at least one degraded/overloaded response, saw none";

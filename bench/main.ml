@@ -4,9 +4,13 @@
    paper's evaluation (paper-vs-measured, Sections 3-6), reports the
    Table 12 implementation-size comparison, and finally runs Bechamel
    micro-benchmarks of the pipeline stages (ELF parsing, disassembly
-   and scanning, metric computation, query layer).
+   and scanning, metric computation, query layer). The query, cold
+   start, fleet and evolve benches are separate modes. Every report
+   goes through [Report.write] (bench/report.ml), which also reads a
+   committed report back for --check-against.
 
-   Usage:
+   Usage (--help lists every option; a bad or unknown argument,
+   including an unknown experiment id, exits 2):
      dune exec bench/main.exe                  # everything
      dune exec bench/main.exe -- fig3 table6   # selected experiments
      dune exec bench/main.exe -- --no-micro    # skip Bechamel runs
@@ -15,208 +19,104 @@
      dune exec bench/main.exe -- --check-against bench/baseline_200.json
      dune exec bench/main.exe -- --query-bench --queries 1000
      dune exec bench/main.exe -- --query-bench --snapshot snap.lapis \
-                                  --min-speedup 50 *)
+                                  --min-speedup 50
+     dune exec bench/main.exe -- --evolve-bench --releases 20 --json *)
 
 module Study = Core.Study
 module P = Core.Distro.Package
+module Json = Core.Query.Json
 module Harness = Lapis_bench.Harness
 module Loadgen = Lapis_bench.Loadgen
 
-let default_packages = 1400
+(* --- command line ------------------------------------------------- *)
 
-type args = {
-  ids : string list;
-  micro : bool;
-  packages : int;
-  json : bool;
-  check_against : string option;
-  query_bench : bool;
-  queries : int;
-  snapshot : string option;
-  min_speedup : float option;
-  cold_start : bool;
-  image : string option;
-  replicas : int;
-  min_cold_speedup : float option;
-  evolve_bench : bool;
-  releases : int;
-  fleet_bench : bool;
-  fleet_shards : int;
-}
+let experiments = ref []
+let micro = ref true
+let packages = ref 1400
+let json = ref false
+let check_against_path = ref None
+let query_bench = ref false
+let queries = ref 1000
+let snapshot = ref None
+let min_speedup = ref None
+let cold_start = ref false
+let image = ref None
+let replicas = ref 4
+let min_cold_speedup = ref None
+let evolve_bench = ref false
+let releases = ref 20
+let fleet_bench = ref false
+let fleet_shards = ref 3
 
-let usage () =
-  prerr_endline
-    "usage: bench/main.exe [EXPERIMENT...] [--no-micro] [--packages N] \
-     [--json] [--check-against FILE]\n\
-    \       bench/main.exe --query-bench [--queries N] [--snapshot FILE] \
-     [--min-speedup X] [--packages N]\n\
-    \       bench/main.exe --query-bench --cold-start-bench [--image FILE] \
-     [--replicas N] [--min-cold-speedup X]\n\
-    \       bench/main.exe --evolve-bench [--releases R] [--packages N]\n\
-    \       bench/main.exe --query-bench --fleet-bench [--fleet-shards N]";
-  exit 2
+let bad name what v =
+  raise (Arg.Bad (Printf.sprintf "%s expects a %s, got %s" name what v))
 
-let parse_args () =
-  let ids = ref []
-  and micro = ref true
-  and packages = ref default_packages
-  and json = ref false
-  and check_against = ref None
-  and query_bench = ref false
-  and queries = ref 1000
-  and snapshot = ref None
-  and min_speedup = ref None
-  and cold_start = ref false
-  and image = ref None
-  and replicas = ref 4
-  and min_cold_speedup = ref None
-  and evolve_bench = ref false
-  and releases = ref 20
-  and fleet_bench = ref false
-  and fleet_shards = ref 3 in
-  let rec go = function
-    | [] -> ()
-    | "--no-micro" :: rest ->
-      micro := false;
-      go rest
-    | "--packages" :: n :: rest ->
-      (match int_of_string_opt n with
-       | Some v when v > 0 -> packages := v
-       | Some _ | None ->
-         Printf.eprintf
-           "bench: --packages expects a positive integer, got %S\n" n;
-         usage ());
-      go rest
-    | [ "--packages" ] ->
-      prerr_endline "bench: --packages expects an argument";
-      usage ()
-    | "--json" :: rest ->
-      json := true;
-      go rest
-    | "--check-against" :: file :: rest ->
-      check_against := Some file;
-      go rest
-    | [ "--check-against" ] ->
-      prerr_endline "bench: --check-against expects a file argument";
-      usage ()
-    | "--query-bench" :: rest ->
-      query_bench := true;
-      go rest
-    | "--queries" :: n :: rest ->
-      (match int_of_string_opt n with
-       | Some v when v > 0 -> queries := v
-       | Some _ | None ->
-         Printf.eprintf
-           "bench: --queries expects a positive integer, got %S\n" n;
-         usage ());
-      go rest
-    | [ "--queries" ] ->
-      prerr_endline "bench: --queries expects an argument";
-      usage ()
-    | "--snapshot" :: file :: rest ->
-      snapshot := Some file;
-      go rest
-    | [ "--snapshot" ] ->
-      prerr_endline "bench: --snapshot expects a file argument";
-      usage ()
-    | "--min-speedup" :: x :: rest ->
-      (match float_of_string_opt x with
-       | Some v when v > 0.0 -> min_speedup := Some v
-       | Some _ | None ->
-         Printf.eprintf
-           "bench: --min-speedup expects a positive number, got %S\n" x;
-         usage ());
-      go rest
-    | [ "--min-speedup" ] ->
-      prerr_endline "bench: --min-speedup expects an argument";
-      usage ()
-    | "--cold-start-bench" :: rest ->
-      cold_start := true;
-      go rest
-    | "--image" :: file :: rest ->
-      image := Some file;
-      go rest
-    | [ "--image" ] ->
-      prerr_endline "bench: --image expects a file argument";
-      usage ()
-    | "--replicas" :: n :: rest ->
-      (match int_of_string_opt n with
-       | Some v when v > 0 -> replicas := v
-       | Some _ | None ->
-         Printf.eprintf
-           "bench: --replicas expects a positive integer, got %S\n" n;
-         usage ());
-      go rest
-    | [ "--replicas" ] ->
-      prerr_endline "bench: --replicas expects an argument";
-      usage ()
-    | "--min-cold-speedup" :: x :: rest ->
-      (match float_of_string_opt x with
-       | Some v when v > 0.0 -> min_cold_speedup := Some v
-       | Some _ | None ->
-         Printf.eprintf
-           "bench: --min-cold-speedup expects a positive number, got %S\n" x;
-         usage ());
-      go rest
-    | [ "--min-cold-speedup" ] ->
-      prerr_endline "bench: --min-cold-speedup expects an argument";
-      usage ()
-    | "--evolve-bench" :: rest ->
-      evolve_bench := true;
-      go rest
-    | "--fleet-bench" :: rest ->
-      fleet_bench := true;
-      go rest
-    | "--fleet-shards" :: n :: rest ->
-      (match int_of_string_opt n with
-       | Some v when v > 0 -> fleet_shards := v
-       | Some _ | None ->
-         Printf.eprintf
-           "bench: --fleet-shards expects a positive integer, got %S\n" n;
-         usage ());
-      go rest
-    | [ "--fleet-shards" ] ->
-      prerr_endline "bench: --fleet-shards expects an argument";
-      usage ()
-    | "--releases" :: n :: rest ->
-      (match int_of_string_opt n with
-       | Some v when v >= 0 -> releases := v
-       | Some _ | None ->
-         Printf.eprintf
-           "bench: --releases expects a non-negative integer, got %S\n" n;
-         usage ());
-      go rest
-    | [ "--releases" ] ->
-      prerr_endline "bench: --releases expects an argument";
-      usage ()
-    | id :: rest ->
-      if String.length id > 1 && id.[0] = '-' then begin
-        Printf.eprintf "bench: unknown option %s\n" id;
-        usage ()
-      end;
-      ids := id :: !ids;
-      go rest
-  in
-  go (List.tl (Array.to_list Sys.argv));
-  {
-    ids = List.rev !ids;
-    micro = !micro;
-    packages = !packages;
-    json = !json;
-    check_against = !check_against;
-    query_bench = !query_bench;
-    queries = !queries;
-    snapshot = !snapshot;
-    min_speedup = !min_speedup;
-    cold_start = !cold_start;
-    image = !image;
-    replicas = !replicas;
-    min_cold_speedup = !min_cold_speedup;
-    evolve_bench = !evolve_bench;
-    releases = !releases;
-    fleet_bench = !fleet_bench;
-    fleet_shards = !fleet_shards;
-  }
+let count ?(min = 1) name r doc =
+  let what = if min = 0 then "non-negative integer" else "positive integer" in
+  ( name,
+    Arg.Int
+      (fun v -> if v >= min then r := v else bad name what (string_of_int v)),
+    doc )
+
+let factor name r doc =
+  ( name,
+    Arg.Float
+      (fun x ->
+        if x > 0.0 then r := Some x
+        else bad name "positive number" (Printf.sprintf "%g" x)),
+    doc )
+
+let file name r doc = (name, Arg.String (fun f -> r := Some f), doc)
+
+let specs =
+  Arg.align
+    [ ("--no-micro", Arg.Clear micro, " skip the Bechamel micro-benchmarks");
+      count "--packages" packages "N synthetic distribution size (1400)";
+      ( "--json",
+        Arg.Set json,
+        " write BENCH_<N>.json (BENCH_EVOLVE.json with --evolve-bench)" );
+      file "--check-against" check_against_path
+        "FILE fail on a >50% stage regression against this BENCH report";
+      ( "--query-bench",
+        Arg.Set query_bench,
+        " indexed queries vs the closed-form oracle; writes BENCH_QUERY.json"
+      );
+      count "--queries" queries "N random subset queries (1000)";
+      file "--snapshot" snapshot
+        "FILE query this saved snapshot instead of a fresh corpus";
+      factor "--min-speedup" min_speedup
+        "X fail below this indexed-vs-oracle speedup";
+      ( "--cold-start-bench",
+        Arg.Set cold_start,
+        " with --query-bench: mapped image vs decode-and-rebuild" );
+      file "--image" image "FILE where the cold-start bench saves its image";
+      count "--replicas" replicas "N replicas whose RSS is sampled (4)";
+      factor "--min-cold-speedup" min_cold_speedup
+        "X fail below this cold-start speedup";
+      ( "--evolve-bench",
+        Arg.Set evolve_bench,
+        " incremental vs from-scratch analysis over a release history" );
+      count ~min:0 "--releases" releases "R releases after the base (20)";
+      ( "--fleet-bench",
+        Arg.Set fleet_bench,
+        " with --query-bench: sliced fleet memory and latency" );
+      count "--fleet-shards" fleet_shards "N fleet bench shards (3)" ]
+
+let add_experiment id =
+  match Study.Experiments.find id with
+  | Some e -> experiments := e :: !experiments
+  | None ->
+    raise
+      (Arg.Bad
+         (Printf.sprintf "unknown experiment %s; known: %s" id
+            (String.concat " " Study.Experiments.ids)))
+
+let usage =
+  "usage: bench/main.exe [EXPERIMENT...] [--no-micro] [--packages N] \
+   [--json] [--check-against FILE]\n\
+  \       bench/main.exe --query-bench [--cold-start-bench] [--fleet-bench] \
+   [OPTION...]\n\
+  \       bench/main.exe --evolve-bench [--releases R] [--packages N] [--json]"
 
 let count_loc () =
   (* Table 12 analogue: measure our own implementation size *)
@@ -335,79 +235,41 @@ let run_micro env =
 
 (* --- BENCH JSON ---------------------------------------------------
 
-   Emitted with plain printf (no JSON library in the tree) in a fixed,
-   line-oriented shape that [read_baseline] below can scan back:
+   Each report is a field list handed to [Report.write]; the helpers
+   below build its members. *)
 
-     {
-       "packages": 200,
-       "binaries": 512,
-       "wall_s": 1.234,
-       "stage_total_s": 2.345,
-       "stages": [ { "name": "...", "seconds": ..., "entries": ... } ],
-       "counters": [ { "name": "...", "value": ... } ],
-       "micro_ns": [ { "name": "...", "ns_per_run": ... } ]
-     } *)
+let int n = Json.Num (float_of_int n)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* A list of { "name": ..., [key]: ... } rows. *)
+let named key value items =
+  Json.Arr
+    (List.map
+       (fun (name, v) -> Json.Obj [ ("name", Json.Str name); (key, value v) ])
+       items)
 
-let stage_total lines =
+let stage_seconds names =
   List.fold_left
-    (fun a (l : Core.Perf.Stage.line) -> a +. l.Core.Perf.Stage.l_seconds)
-    0.0 lines
+    (fun acc (l : Core.Perf.Stage.line) ->
+      if List.mem l.l_name names then acc +. l.l_seconds else acc)
+    0.0
+    (Core.Perf.Stage.report ())
 
-let write_json ~packages ~binaries ~wall ~micro_results ~git ~source_key path =
-  let module S = Core.Perf.Stage in
-  let lines = S.report () in
-  let oc = open_out path in
-  let pf fmt = Printf.fprintf oc fmt in
-  let pp_items pp = function
-    | [] -> pf " ]"
-    | items ->
-      List.iteri
-        (fun i x -> pf "%s\n    %t" (if i = 0 then "" else ",") (pp x))
-        items;
-      pf "\n  ]"
-  in
-  pf "{\n";
-  pf "  \"git\": \"%s\",\n" (json_escape git);
-  pf "  \"source_key\": \"%s\",\n" (json_escape source_key);
-  pf "  \"packages\": %d,\n" packages;
-  pf "  \"binaries\": %d,\n" binaries;
-  pf "  \"wall_s\": %.6f,\n" wall;
-  pf "  \"stage_total_s\": %.6f,\n" (stage_total lines);
-  pf "  \"stages\": [";
-  pp_items
-    (fun (l : S.line) oc ->
-      Printf.fprintf oc
-        "{ \"name\": \"%s\", \"seconds\": %.6f, \"entries\": %d }"
-        (json_escape l.S.l_name) l.S.l_seconds l.S.l_entries)
-    lines;
-  pf ",\n  \"counters\": [";
-  pp_items
-    (fun (name, v) oc ->
-      Printf.fprintf oc "{ \"name\": \"%s\", \"value\": %d }"
-        (json_escape name) v)
-    (S.report_counters ());
-  pf ",\n  \"micro_ns\": [";
-  pp_items
-    (fun (name, ns) oc ->
-      Printf.fprintf oc "{ \"name\": \"%s\", \"ns_per_run\": %.1f }"
-        (json_escape name) ns)
-    micro_results;
-  pf "\n}\n";
-  close_out oc;
-  Printf.printf "Wrote %s\n%!" path
+let write_json ~binaries ~wall ~micro_results ~source_key path =
+  let lines = Core.Perf.Stage.report () in
+  Report.write path
+    [ ("source_key", Json.Str source_key);
+      ("packages", int !packages);
+      ("binaries", int binaries);
+      ("wall_s", Json.Num wall);
+      ( "stage_total_s",
+        Json.Num
+          (List.fold_left
+             (fun a (l : Core.Perf.Stage.line) -> a +. l.l_seconds)
+             0.0 lines) );
+      Report.stages lines;
+      ("counters", named "value" int (Core.Perf.Stage.report_counters ()));
+      ("micro_ns", named "ns_per_run" (fun ns -> Json.Num ns) micro_results)
+    ]
 
 (* CI regression gate: fail when the pipeline regresses more than 50%
    against the checked-in baseline, or when the run quarantined any
@@ -423,71 +285,51 @@ let write_json ~packages ~binaries ~wall ~micro_results ~git ~source_key path =
    timing gate runs over the intersection of stage names — comparing
    totals across different stage sets would either fail every build
    that grows the pipeline or let a regression hide behind a shrunken
-   set. One-sided stages are reported, never silently dropped.
-   Baselines from before the per-stage rows existed gate on
-   stage_total_s as before. *)
-let check_against ~stage_total_now ~quarantined path =
-  let module B = Core.Perf.Baseline in
-  (match B.load path with
-   | Error msg ->
-     Printf.eprintf "bench: cannot read baseline %s: %s\n" path msg;
-     exit 1
-   | Ok baseline ->
-     let gate ~what ~now ~base =
-       let limit = base *. 1.5 in
-       Printf.printf "Regression check: %s %.3fs vs baseline %.3fs \
-                      (limit %.3fs)\n"
-         what now base limit;
-       if now > limit then begin
-         Printf.eprintf
-           "bench: FAIL: %s regressed more than 50%% (%.3fs > %.3fs)\n"
-           what now limit;
-         exit 1
-       end
-     in
-     (match baseline.B.stages with
-      | [] ->
-        (match baseline.B.stage_total_s with
-         | None ->
-           Printf.eprintf
-             "bench: baseline %s has neither per-stage rows nor \
-              \"stage_total_s\"\n"
-             path;
-           exit 1
-         | Some base ->
-           gate ~what:"pipeline stage total" ~now:stage_total_now ~base)
-      | _ :: _ ->
-        let now =
-          List.map
-            (fun (l : Core.Perf.Stage.line) ->
-              (l.Core.Perf.Stage.l_name, l.Core.Perf.Stage.l_seconds))
-            (Core.Perf.Stage.report ())
-        in
-        let v = B.compare_stages baseline now in
-        if v.B.only_now <> [] then
-          Printf.printf
-            "Regression check: %d stage(s) newer than the baseline \
-             (reported, not gated): %s\n"
-            (List.length v.B.only_now)
-            (String.concat " " v.B.only_now);
-        if v.B.only_baseline <> [] then
-          Printf.printf
-            "Regression check: %d baseline stage(s) absent from this \
-             run: %s\n"
-            (List.length v.B.only_baseline)
-            (String.concat " " v.B.only_baseline);
-        if v.B.shared = [] then begin
-          Printf.eprintf
-            "bench: FAIL: no stage names shared with baseline %s — \
-             nothing to gate on\n"
-            path;
-          exit 1
-        end;
-        gate
-          ~what:
-            (Printf.sprintf "total over %d shared stages"
-               (List.length v.B.shared))
-          ~now:v.B.shared_now_s ~base:v.B.shared_baseline_s));
+   set. One-sided stages are reported, never silently dropped. A
+   baseline without stage rows shares none, and fails. *)
+let check_against ~quarantined path =
+  let baseline =
+    match Report.load_stages path with
+    | Ok stages -> stages
+    | Error msg ->
+      Printf.eprintf "bench: cannot read baseline %s: %s\n" path msg;
+      exit 1
+  in
+  let now =
+    List.map
+      (fun (l : Core.Perf.Stage.line) -> (l.l_name, l.l_seconds))
+      (Core.Perf.Stage.report ())
+  in
+  let v = Report.compare_stages baseline now in
+  if v.only_now <> [] then
+    Printf.printf
+      "Regression check: %d stage(s) newer than the baseline (reported, not \
+       gated): %s\n"
+      (List.length v.only_now)
+      (String.concat " " v.only_now);
+  if v.only_baseline <> [] then
+    Printf.printf
+      "Regression check: %d baseline stage(s) absent from this run: %s\n"
+      (List.length v.only_baseline)
+      (String.concat " " v.only_baseline);
+  if v.shared = [] then begin
+    Printf.eprintf
+      "bench: FAIL: no stage names shared with baseline %s — nothing to \
+       gate on\n"
+      path;
+    exit 1
+  end;
+  let what =
+    Printf.sprintf "total over %d shared stages" (List.length v.shared)
+  in
+  let limit = v.shared_baseline_s *. 1.5 in
+  Printf.printf "Regression check: %s %.3fs vs baseline %.3fs (limit %.3fs)\n"
+    what v.shared_now_s v.shared_baseline_s limit;
+  if v.shared_now_s > limit then begin
+    Printf.eprintf "bench: FAIL: %s regressed more than 50%% (%.3fs > %.3fs)\n"
+      what v.shared_now_s limit;
+    exit 1
+  end;
   if quarantined > 0 then begin
     Printf.eprintf
       "bench: FAIL: %d binaries quarantined on a clean corpus (see the \
@@ -504,118 +346,8 @@ let check_against ~stage_total_now ~quarantined path =
    completeness questions, results are compared bit-for-bit (the index
    is built to replicate the oracle's fold orders, so the tolerance is
    1e-12, not "a few ulp per package"), and throughput plus speedup go
-   into BENCH_QUERY.json. *)
-
-(* Identity stamps: the git commit of the working tree (so the
-   BENCH_* trajectory is comparable across PRs) and the snapshot
-   source_key of the corpus the numbers were measured on.
-
-   Re-stamped BENCH artifacts themselves (BENCH_*.json in the repo
-   root) do not count as dirt — the whole point of a bench run is to
-   rewrite them — but any other modification taints the stamp with
-   "-dirty" and a loud warning, because a "-dirty" hash is
-   unreproducible: nobody can check out the code the numbers came
-   from. *)
-let run_git argv =
-  let out, inp = Unix.pipe ~cloexec:false () in
-  match
-    let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-    let pid =
-      Unix.create_process "git" (Array.of_list ("git" :: argv)) Unix.stdin inp
-        null
-    in
-    Unix.close null;
-    Unix.close inp;
-    let ic = Unix.in_channel_of_descr out in
-    let b = Buffer.create 256 in
-    (try
-       while true do
-         Buffer.add_channel b ic 1
-       done
-     with End_of_file -> ());
-    close_in ic;
-    (snd (Unix.waitpid [] pid), Buffer.contents b)
-  with
-  | Unix.WEXITED 0, s -> Some s
-  | _ -> None
-  | exception _ ->
-    (try Unix.close inp with Unix.Unix_error _ -> ());
-    (try Unix.close out with Unix.Unix_error _ -> ());
-    None
-
-let is_bench_artifact path =
-  let base = Filename.basename path in
-  String.length base > 6
-  && String.sub base 0 6 = "BENCH_"
-  && Filename.check_suffix base ".json"
-
-let git_stamp () =
-  match run_git [ "rev-parse"; "--short"; "HEAD" ] with
-  | None -> "unknown"
-  | Some head ->
-    let head = String.trim head in
-    let dirt =
-      match run_git [ "status"; "--porcelain" ] with
-      | None -> [ "(git status failed)" ]
-      | Some status ->
-        String.split_on_char '\n' status
-        |> List.filter_map (fun line ->
-               if String.length line < 4 then None
-               else
-                 let path = String.sub line 3 (String.length line - 3) in
-                 (* "R old -> new" lines: judge the destination. *)
-                 let path =
-                   match String.index_opt path '>' with
-                   | Some i when i > 0 && path.[i - 1] = '-' ->
-                     String.trim
-                       (String.sub path (i + 1) (String.length path - i - 1))
-                   | _ -> path
-                 in
-                 if is_bench_artifact path then None else Some path)
-    in
-    (match dirt with
-     | [] -> head
-     | paths ->
-       Printf.eprintf
-         "bench: WARNING: stamping a dirty tree (%s-dirty): %d modified \
-          path(s) beyond BENCH_*.json (e.g. %s); the recorded numbers \
-          cannot be attributed to a commit\n%!"
-         head (List.length paths) (List.hd paths);
-       head ^ "-dirty")
-
-(* Results of the cold-start comparison: open()-to-first-answer for
-   the decode-and-rebuild path vs the mmap-the-image path, plus how
-   much resident memory each extra replica of a mapped image costs. *)
-type cold_results = {
-  cr_image_bytes : int;
-  cr_decode_s : float;
-  cr_map_s : float;
-  cr_speedup : float;
-  cr_max_abs_diff : float;
-  cr_replicas : int;
-  cr_replica_rss_kb : float;
-}
-
-(* Results of the fleet bench (see the fleet-bench section below):
-   per-shard resident memory with full vs range-sliced images, and
-   scatter throughput and p99 over the sliced fleet. *)
-type fleet_results = {
-  fl_shards : int;
-  fl_image_bytes : int;
-  fl_sliced_bytes_total : int;
-  fl_rss_full_kb : float;
-  fl_rss_sliced_kb : float;
-  fl_sat_qps : float;
-  fl_open_rate_qps : float;
-  fl_open_p99_ms : float;  (* open loop at [fl_open_rate_qps] *)
-}
-
-let stage_seconds names =
-  let module S = Core.Perf.Stage in
-  List.fold_left
-    (fun acc (l : S.line) ->
-      if List.mem l.S.l_name names then acc +. l.S.l_seconds else acc)
-    0.0 (S.report ())
+   into BENCH_QUERY.json, stamped with the snapshot source_key of the
+   corpus the numbers were measured on. *)
 
 (* --- wire-codec micro-bench ---------------------------------------
 
@@ -625,22 +357,13 @@ let stage_seconds names =
    decoded through both codecs. Round-trips are verified before
    timing — this is a correctness check that happens to be timed. *)
 
-type codec_result = {
-  cb_json_ns : float;  (* one request+response round-trip, JSON lines *)
-  cb_bin_ns : float;  (* same exchange, length-prefixed binary *)
-  cb_speedup : float;
-  cb_json_bytes : int;
-  cb_bin_bytes : int;
-}
-
 let run_codec_bench () =
   let module Pr = Core.Query.Protocol in
-  let module J = Core.Query.Json in
   let rng = Core.Distro.Rng.create 0x0c0dec in
   let syscalls = List.init 32 (fun _ -> Core.Distro.Rng.int rng 448) in
   let req =
     {
-      Pr.rq_id = Some (J.Num 123456.0);
+      Pr.rq_id = Some (Json.Num 123456.0);
       rq_op =
         Pr.Partial_completeness
           { syscalls; phase = Core.Query.Engine.All; lo = 0; hi = 5000 };
@@ -648,13 +371,13 @@ let run_codec_bench () =
   in
   let resp =
     {
-      Pr.rs_id = Some (J.Num 123456.0);
+      Pr.rs_id = Some (Json.Num 123456.0);
       rs_result =
         Ok (Pr.Partial_r { lo = 0; hi = 5000; num = 123.456789; den = 98765.5 });
     }
   in
-  let json_req = J.to_string (Pr.json_of_request req) in
-  let json_resp = J.to_string (Pr.json_of_response resp) in
+  let json_req = Json.to_string (Pr.json_of_request req) in
+  let json_resp = Json.to_string (Pr.json_of_response resp) in
   let bin_req = Pr.Bin.encode_request req in
   let bin_resp = Pr.Bin.encode_response resp in
   let payload s = String.sub s 5 (String.length s - 5) in
@@ -662,7 +385,7 @@ let run_codec_bench () =
     Printf.eprintf "bench: FAIL: codec round-trip: %s\n" msg;
     exit 1
   in
-  (match J.parse json_req with
+  (match Json.parse json_req with
    | Ok j ->
      (match Pr.request_of_json j with
       | Ok r when r = req -> ()
@@ -684,12 +407,12 @@ let run_codec_bench () =
   in
   let json_ns =
     time (fun () ->
-        let rq = J.to_string (Pr.json_of_request req) in
-        (match J.parse rq with
+        let rq = Json.to_string (Pr.json_of_request req) in
+        (match Json.parse rq with
          | Ok j -> ignore (Pr.request_of_json j)
          | Error _ -> assert false);
-        let rs = J.to_string (Pr.json_of_response resp) in
-        match J.parse rs with
+        let rs = Json.to_string (Pr.json_of_response resp) in
+        match Json.parse rs with
         | Ok j -> ignore (Pr.response_of_json j)
         | Error _ -> assert false)
   in
@@ -699,105 +422,20 @@ let run_codec_bench () =
         ignore
           (Pr.Bin.decode_response (payload (Pr.Bin.encode_response resp))))
   in
-  let r =
-    {
-      cb_json_ns = json_ns;
-      cb_bin_ns = bin_ns;
-      cb_speedup = json_ns /. Float.max bin_ns 1e-9;
-      cb_json_bytes = String.length json_req + String.length json_resp + 2;
-      cb_bin_bytes = String.length bin_req + String.length bin_resp;
-    }
-  in
+  (* one request+response round-trip each, JSON lines vs binary *)
+  let speedup = json_ns /. Float.max bin_ns 1e-9 in
+  let json_bytes = String.length json_req + String.length json_resp + 2 in
+  let bin_bytes = String.length bin_req + String.length bin_resp in
   Printf.printf
     "Wire codecs: scatter exchange %d B json / %d B binary\n\
     \  json round-trip:   %.0f ns\n\
     \  binary round-trip: %.0f ns (%.1fx cheaper)\n%!"
-    r.cb_json_bytes r.cb_bin_bytes r.cb_json_ns r.cb_bin_ns r.cb_speedup;
-  r
-
-let write_query_json ~packages ~queries ~indexed_s ~oracle_s ~speedup
-    ~max_abs_diff ~latencies_us ~batch_s ~cold ~fleet ~codec ~source_key path =
-  let module S = Core.Perf.Stage in
-  (* Temporal-attribution cost next to the numbers it buys: the
-     "phase:attribute" stage (per-binary split into init/serving) and
-     the widening counters. Zero/empty on snapshot-backed runs — the
-     attribution happened when the snapshot was built, not here. *)
-  let phase_attribute_s =
-    List.fold_left
-      (fun acc (l : S.line) ->
-        if l.S.l_name = "phase:attribute" then acc +. l.S.l_seconds else acc)
-      0.0 (S.report ())
-  in
-  let phase_counters =
-    List.filter
-      (fun (name, _) ->
-        String.length name >= 6 && String.sub name 0 6 = "phase:")
-      (S.report_counters ())
-  in
-  let oc = open_out path in
-  let pf fmt = Printf.fprintf oc fmt in
-  let indexed_qps = float_of_int queries /. indexed_s in
-  let batch_qps = float_of_int queries /. Float.max batch_s 1e-9 in
-  pf "{\n";
-  pf "  \"git\": \"%s\",\n" (json_escape (git_stamp ()));
-  pf "  \"source_key\": \"%s\",\n" (json_escape source_key);
-  pf "  \"packages\": %d,\n" packages;
-  pf "  \"queries\": %d,\n" queries;
-  pf "  \"load_s\": %.6f,\n" (stage_seconds [ "snapshot-load"; "image-load" ]);
-  pf "  \"index_build_s\": %.6f,\n" (stage_seconds [ "query:index-build" ]);
-  pf "  \"indexed_s\": %.6f,\n" indexed_s;
-  pf "  \"oracle_s\": %.6f,\n" oracle_s;
-  pf "  \"indexed_qps\": %.1f,\n" indexed_qps;
-  pf "  \"oracle_qps\": %.1f,\n" (float_of_int queries /. oracle_s);
-  pf "  \"speedup\": %.1f,\n" speedup;
-  pf "  \"latency_p50_us\": %.3f,\n" (Harness.percentile latencies_us 0.50);
-  pf "  \"latency_p95_us\": %.3f,\n" (Harness.percentile latencies_us 0.95);
-  pf "  \"latency_p99_us\": %.3f,\n" (Harness.percentile latencies_us 0.99);
-  pf "  \"batch_s\": %.6f,\n" batch_s;
-  pf "  \"batch_qps\": %.1f,\n" batch_qps;
-  pf "  \"batch_vs_single\": %.2f,\n" (batch_qps /. indexed_qps);
-  pf "  \"phase_attribute_s\": %.6f,\n" phase_attribute_s;
-  pf "  \"phase_counters\": [";
-  (match phase_counters with
-   | [] -> pf " ],\n"
-   | items ->
-     List.iteri
-       (fun i (name, v) ->
-         pf "%s\n    { \"name\": \"%s\", \"value\": %d }"
-           (if i = 0 then "" else ",")
-           (json_escape name) v)
-       items;
-     pf "\n  ],\n");
-  (match cold with
-   | None -> ()
-   | Some c ->
-     pf "  \"image_bytes\": %d,\n" c.cr_image_bytes;
-     pf "  \"cold_decode_s\": %.6f,\n" c.cr_decode_s;
-     pf "  \"cold_map_s\": %.6f,\n" c.cr_map_s;
-     pf "  \"cold_speedup\": %.1f,\n" c.cr_speedup;
-     pf "  \"cold_max_abs_diff\": %.3e,\n" c.cr_max_abs_diff;
-     pf "  \"replicas\": %d,\n" c.cr_replicas;
-     pf "  \"replica_rss_kb\": %.1f,\n" c.cr_replica_rss_kb);
-  (match fleet with
-   | None -> ()
-   | Some f ->
-     pf "  \"fleet_shards\": %d,\n" f.fl_shards;
-     pf "  \"fleet_image_bytes\": %d,\n" f.fl_image_bytes;
-     pf "  \"fleet_sliced_bytes_total\": %d,\n" f.fl_sliced_bytes_total;
-     pf "  \"fleet_rss_full_kb\": %.1f,\n" f.fl_rss_full_kb;
-     pf "  \"fleet_rss_sliced_kb\": %.1f,\n" f.fl_rss_sliced_kb;
-     pf "  \"fleet_sat_qps\": %.1f,\n" f.fl_sat_qps;
-     pf "  \"fleet_open_rate_qps\": %.1f,\n" f.fl_open_rate_qps;
-     pf "  \"fleet_open_p99_ms\": %.3f,\n" f.fl_open_p99_ms);
-  pf "  \"codec_json_ns\": %.1f,\n" codec.cb_json_ns;
-  pf "  \"codec_bin_ns\": %.1f,\n" codec.cb_bin_ns;
-  pf "  \"codec_speedup\": %.2f,\n" codec.cb_speedup;
-  pf "  \"codec_json_bytes\": %d,\n" codec.cb_json_bytes;
-  pf "  \"codec_bin_bytes\": %d,\n" codec.cb_bin_bytes;
-  pf "  \"max_abs_diff\": %.3e\n" max_abs_diff;
-  pf "}\n";
-  close_out oc;
-  Printf.printf "Wrote %s\n%!" path
+    json_bytes bin_bytes json_ns bin_ns speedup;
+  [ ("codec_json_ns", Json.Num json_ns);
+    ("codec_bin_ns", Json.Num bin_ns);
+    ("codec_speedup", Json.Num speedup);
+    ("codec_json_bytes", int json_bytes);
+    ("codec_bin_bytes", int bin_bytes) ]
 
 (* --- cold-start bench ---------------------------------------------
 
@@ -900,7 +538,7 @@ let measure_replica_rss ~image ~replicas =
       (float_of_int (List.fold_left ( + ) 0 kbs)
       /. float_of_int (List.length kbs))
 
-let run_cold_start (args : args) ~env ~source_key ~subsets =
+let run_cold_start ~env ~source_key ~subsets =
   let module Engine = Core.Query.Engine in
   let idx = env.Study.Env.index in
   let cleanup = ref [] in
@@ -916,7 +554,7 @@ let run_cold_start (args : args) ~env ~source_key ~subsets =
         !cleanup)
   @@ fun () ->
   let snapshot_path =
-    match args.snapshot with
+    match !snapshot with
     | Some path -> path
     | None ->
       let path = temp ".lapis" in
@@ -929,7 +567,7 @@ let run_cold_start (args : args) ~env ~source_key ~subsets =
          exit 1)
   in
   let image_path =
-    match args.image with Some path -> path | None -> temp ".idx"
+    match !image with Some path -> path | None -> temp ".idx"
   in
   (match Engine.save_image ~source_key image_path idx with
    | Ok () -> ()
@@ -993,7 +631,7 @@ let run_cold_start (args : args) ~env ~source_key ~subsets =
       0.0 subsets
   in
   let replica_rss_kb =
-    match measure_replica_rss ~image:image_path ~replicas:args.replicas with
+    match measure_replica_rss ~image:image_path ~replicas:!replicas with
     | Some kb -> kb
     | None ->
       Printf.eprintf "bench: FAIL: no replica produced an RSS sample\n";
@@ -1008,16 +646,16 @@ let run_cold_start (args : args) ~env ~source_key ~subsets =
     \  map-vs-heap max |diff| = %.3e over %d subsets x 3 phases\n\
     \  replica RSS: %.0f kB mean over %d re-exec'd processes\n%!"
     image_bytes decode_s map_s speedup cold_diff (List.length subsets)
-    replica_rss_kb args.replicas;
-  {
-    cr_image_bytes = image_bytes;
-    cr_decode_s = decode_s;
-    cr_map_s = map_s;
-    cr_speedup = speedup;
-    cr_max_abs_diff = cold_diff;
-    cr_replicas = args.replicas;
-    cr_replica_rss_kb = replica_rss_kb;
-  }
+    replica_rss_kb !replicas;
+  ( speedup,
+    cold_diff,
+    [ ("image_bytes", int image_bytes);
+      ("cold_decode_s", Json.Num decode_s);
+      ("cold_map_s", Json.Num map_s);
+      ("cold_speedup", Json.Num speedup);
+      ("cold_max_abs_diff", Json.Num cold_diff);
+      ("replicas", int !replicas);
+      ("replica_rss_kb", Json.Num replica_rss_kb) ] )
 
 (* --- fleet bench ---------------------------------------------------
 
@@ -1083,7 +721,7 @@ let fleet_phase (c : Loadgen.t) (ph : Loadgen.phase) =
           | None -> ""));
   (Loadgen.achieved ph, Harness.percentile (Loadgen.ms ph.Loadgen.lat) 0.99)
 
-let run_fleet_bench (args : args) ~env ~source_key ~subsets =
+let run_fleet_bench ~env ~source_key ~subsets =
   let module Engine = Core.Query.Engine in
   let module Server = Core.Query.Server in
   let module Router = Core.Query.Router in
@@ -1109,7 +747,7 @@ let run_fleet_bench (args : args) ~env ~source_key ~subsets =
   in
   let full_path = temp ".idx" in
   save full_path;
-  let ranges = Engine.shard_ranges n args.fleet_shards in
+  let ranges = Engine.shard_ranges n !fleet_shards in
   let shards = List.length ranges in
   let slice_paths =
     List.map
@@ -1222,7 +860,7 @@ let run_fleet_bench (args : args) ~env ~source_key ~subsets =
      half of one so the float round trip cannot drop the last slot. *)
   let open_s =
     let period = Harness.period_ns open_rate in
-    float_of_int ((args.queries * period) + (period / 2)) /. 1e9
+    float_of_int ((!queries * period) + (period / 2)) /. 1e9
   in
   (* A sub-second open-loop run puts ~20 samples above p99, so one
      scheduler hiccup owns the tail; the median of three trials is the
@@ -1246,22 +884,20 @@ let run_fleet_bench (args : args) ~env ~source_key ~subsets =
     \  open loop at %.0f q/s, %d requests: p99 %.2f ms\n%!"
     shards n fleet_clients image_bytes sliced_bytes_total
     (float_of_int sliced_bytes_total /. float_of_int (max 1 image_bytes))
-    rss_full_kb rss_sliced_kb sat_qps sat_p99_ms open_rate args.queries
+    rss_full_kb rss_sliced_kb sat_qps sat_p99_ms open_rate !queries
     open_p99_ms;
-  {
-    fl_shards = shards;
-    fl_image_bytes = image_bytes;
-    fl_sliced_bytes_total = sliced_bytes_total;
-    fl_rss_full_kb = rss_full_kb;
-    fl_rss_sliced_kb = rss_sliced_kb;
-    fl_sat_qps = sat_qps;
-    fl_open_rate_qps = open_rate;
-    fl_open_p99_ms = open_p99_ms;
-  }
+  [ ("fleet_shards", int shards);
+    ("fleet_image_bytes", int image_bytes);
+    ("fleet_sliced_bytes_total", int sliced_bytes_total);
+    ("fleet_rss_full_kb", Json.Num rss_full_kb);
+    ("fleet_rss_sliced_kb", Json.Num rss_sliced_kb);
+    ("fleet_sat_qps", Json.Num sat_qps);
+    ("fleet_open_rate_qps", Json.Num open_rate);
+    ("fleet_open_p99_ms", Json.Num open_p99_ms) ]
 
-let run_query_bench (args : args) =
+let run_query_bench () =
   let env, source_key =
-    match args.snapshot with
+    match !snapshot with
     | Some path ->
       (match Core.Db.Snapshot.load path with
        | Ok snap ->
@@ -1277,10 +913,9 @@ let run_query_bench (args : args) =
       Printf.printf
         "Building the synthetic distribution (%d packages) for the query \
          bench...\n%!"
-        args.packages;
+        !packages;
       let config =
-        { Core.Distro.Generator.default_config with
-          n_packages = args.packages }
+        { Core.Distro.Generator.default_config with n_packages = !packages }
       in
       let env = Study.Env.create ~config () in
       ( env,
@@ -1291,7 +926,7 @@ let run_query_bench (args : args) =
   in
   let store = env.Study.Env.store in
   let idx = env.Study.Env.index in
-  let packages = Array.length store.Core.Db.Store.packages in
+  let n_packages = Array.length store.Core.Db.Store.packages in
   (* Fixed-seed random subsets: 1..200 distinct syscalls each, drawn
      from the full table so unknown-to-the-corpus numbers are
      exercised too. *)
@@ -1303,7 +938,7 @@ let run_query_bench (args : args) =
   in
   let n_nrs = List.length all_nrs in
   let subsets =
-    List.init args.queries (fun _ ->
+    List.init !queries (fun _ ->
         let k = 1 + Core.Distro.Rng.int rng (min 200 n_nrs) in
         Core.Distro.Rng.sample rng k all_nrs)
   in
@@ -1352,6 +987,8 @@ let run_query_bench (args : args) =
     batch indexed;
   let indexed_s = Float.max indexed_s 1e-9 in
   let speedup = oracle_s /. indexed_s in
+  let indexed_qps = float_of_int !queries /. indexed_s in
+  let batch_qps = float_of_int !queries /. Float.max batch_s 1e-9 in
   Printf.printf
     "Query bench: %d subset queries over %d packages\n\
     \  indexed: %.4fs (%.0f q/s)\n\
@@ -1359,30 +996,53 @@ let run_query_bench (args : args) =
     \  batch:   %.4fs (%.0f q/s)\n\
     \  latency: p50 %.2fus, p95 %.2fus, p99 %.2fus\n\
     \  speedup: %.1fx, max |indexed - oracle| = %.3e\n%!"
-    args.queries packages indexed_s
-    (float_of_int args.queries /. indexed_s)
-    oracle_s
-    (float_of_int args.queries /. oracle_s)
-    batch_s
-    (float_of_int args.queries /. Float.max batch_s 1e-9)
+    !queries n_packages indexed_s indexed_qps oracle_s
+    (float_of_int !queries /. oracle_s)
+    batch_s batch_qps
     (Harness.percentile latencies_us 0.50)
     (Harness.percentile latencies_us 0.95)
     (Harness.percentile latencies_us 0.99)
     speedup max_abs_diff;
   let cold =
-    if args.cold_start then
-      Some (run_cold_start args ~env ~source_key ~subsets)
+    if !cold_start then Some (run_cold_start ~env ~source_key ~subsets)
     else None
   in
   let fleet =
-    if args.fleet_bench then
-      Some (run_fleet_bench args ~env ~source_key ~subsets)
-    else None
+    if !fleet_bench then run_fleet_bench ~env ~source_key ~subsets else []
   in
   let codec = run_codec_bench () in
-  write_query_json ~packages ~queries:args.queries ~indexed_s ~oracle_s
-    ~speedup ~max_abs_diff ~latencies_us ~batch_s ~cold ~fleet ~codec
-    ~source_key "BENCH_QUERY.json";
+  let pct q = Json.Num (Harness.percentile latencies_us q) in
+  (* Temporal-attribution cost next to the numbers it buys: the
+     "phase:attribute" stage (per-binary split into init/serving) and
+     the widening counters. Zero/empty on snapshot-backed runs — the
+     attribution happened when the snapshot was built, not here. *)
+  let phase_counters =
+    List.filter
+      (fun (name, _) -> String.starts_with ~prefix:"phase:" name)
+      (Core.Perf.Stage.report_counters ())
+  in
+  Report.write "BENCH_QUERY.json"
+    ([ ("source_key", Json.Str source_key);
+       ("packages", int n_packages);
+       ("queries", int !queries);
+       ("load_s", Json.Num (stage_seconds [ "snapshot-load"; "image-load" ]));
+       ("index_build_s", Json.Num (stage_seconds [ "query:index-build" ]));
+       ("indexed_s", Json.Num indexed_s);
+       ("oracle_s", Json.Num oracle_s);
+       ("indexed_qps", Json.Num indexed_qps);
+       ("oracle_qps", Json.Num (float_of_int !queries /. oracle_s));
+       ("speedup", Json.Num speedup);
+       ("latency_p50_us", pct 0.50);
+       ("latency_p95_us", pct 0.95);
+       ("latency_p99_us", pct 0.99);
+       ("batch_s", Json.Num batch_s);
+       ("batch_qps", Json.Num batch_qps);
+       ("batch_vs_single", Json.Num (batch_qps /. indexed_qps));
+       ("phase_attribute_s", Json.Num (stage_seconds [ "phase:attribute" ]));
+       ("phase_counters", named "value" int phase_counters) ]
+    @ (match cold with Some (_, _, fields) -> fields | None -> [])
+    @ fleet @ codec
+    @ [ ("max_abs_diff", Json.Num max_abs_diff) ]);
   if max_abs_diff > 1e-12 then begin
     Printf.eprintf
       "bench: FAIL: indexed completeness diverges from the oracle by \
@@ -1390,7 +1050,7 @@ let run_query_bench (args : args) =
       max_abs_diff;
     exit 1
   end;
-  (match args.min_speedup with
+  (match !min_speedup with
    | Some want when speedup < want ->
      Printf.eprintf
        "bench: FAIL: indexed speedup %.1fx below the required %.1fx\n"
@@ -1399,19 +1059,19 @@ let run_query_bench (args : args) =
    | _ -> ());
   (match cold with
    | None -> ()
-   | Some c ->
-     if c.cr_max_abs_diff <> 0.0 then begin
+   | Some (cold_speedup, cold_diff, _) ->
+     if cold_diff <> 0.0 then begin
        Printf.eprintf
          "bench: FAIL: mapped index diverges from the heap index by %.3e \
           (must be exactly 0)\n"
-         c.cr_max_abs_diff;
+         cold_diff;
        exit 1
      end;
-     (match args.min_cold_speedup with
-      | Some want when c.cr_speedup < want ->
+     (match !min_cold_speedup with
+      | Some want when cold_speedup < want ->
         Printf.eprintf
           "bench: FAIL: cold-start speedup %.1fx below the required %.1fx\n"
-          c.cr_speedup want;
+          cold_speedup want;
         exit 1
       | _ -> ()));
   print_endline "Query bench: OK"
@@ -1426,67 +1086,22 @@ let run_query_bench (args : args) =
    cache-reuse counters, the delta-vs-full snapshot sizes, the index
    build time and the delta encode time. *)
 
-type evolve_row = {
-  er_release : int;
-  er_scratch_s : float;
-  er_inc_s : float;
-  er_hits : int;
-  er_misses : int;
-  er_full_bytes : int;
-  er_delta_bytes : int;  (* 0 for the base release *)
-  er_index_s : float;  (* Query.index wall time on the incremental store *)
-  er_delta_s : float;  (* delta encode wall time; 0 for the base release *)
-}
-
-let write_evolve_json ~packages ~releases ~rows ~scratch_s ~inc_s ~hits
-    ~misses ~git path =
-  let oc = open_out path in
-  let pf fmt = Printf.fprintf oc fmt in
-  pf "{\n";
-  pf "  \"git\": \"%s\",\n" (json_escape git);
-  pf "  \"packages\": %d,\n" packages;
-  pf "  \"releases\": %d,\n" releases;
-  pf "  \"identical\": true,\n";
-  pf "  \"scratch_wall_s\": %.6f,\n" scratch_s;
-  pf "  \"incremental_wall_s\": %.6f,\n" inc_s;
-  pf "  \"wall_ratio\": %.4f,\n"
-    (if scratch_s > 0.0 then inc_s /. scratch_s else 0.0);
-  pf "  \"cache_hits\": %d,\n" hits;
-  pf "  \"cache_misses\": %d,\n" misses;
-  pf "  \"reuse\": %.4f,\n"
-    (if hits + misses > 0 then
-       float_of_int hits /. float_of_int (hits + misses)
-     else 0.0);
-  pf "  \"rows\": [";
-  List.iteri
-    (fun i r ->
-      pf "%s\n    { \"release\": %d, \"scratch_s\": %.6f, \"inc_s\": %.6f, \
-          \"hits\": %d, \"misses\": %d, \"full_bytes\": %d, \
-          \"delta_bytes\": %d, \"index_s\": %.6f, \"delta_s\": %.6f }"
-        (if i = 0 then "" else ",")
-        r.er_release r.er_scratch_s r.er_inc_s r.er_hits r.er_misses
-        r.er_full_bytes r.er_delta_bytes r.er_index_s r.er_delta_s)
-    rows;
-  pf "\n  ]\n}\n";
-  close_out oc;
-  Printf.printf "Wrote %s\n%!" path
-
-let run_evolve_bench args =
+let run_evolve_bench () =
   let module G = Core.Distro.Generator in
   let module Pl = Core.Db.Pipeline in
   let module Sn = Core.Db.Snapshot in
-  let config = { G.default_config with n_packages = args.packages } in
+  let config = { G.default_config with n_packages = !packages } in
   let cache = Pl.new_cache () in
   let inc_config = { Pl.default with shared_cache = Some cache } in
   Printf.printf
     "Evolve bench: %d releases over %d packages, incremental vs \
      from-scratch...\n%!"
-    args.releases args.packages;
+    !releases !packages;
   let base = ref None in
   let rows = ref [] in
   let tot_scratch = ref 0.0 and tot_inc = ref 0.0 in
   let prev_hits = ref 0 and prev_misses = ref 0 in
-  for r = 0 to args.releases do
+  for r = 0 to !releases do
     let dist = G.evolve ~config ~release:r () in
     let t0 = Unix.gettimeofday () in
     let scratch = Pl.run dist in
@@ -1511,6 +1126,7 @@ let run_evolve_bench args =
     let dh = hits - !prev_hits and dm = misses - !prev_misses in
     prev_hits := hits;
     prev_misses := misses;
+    (* delta bytes and encode time are 0 for the base release *)
     let delta_bytes, delta_s =
       match !base with
       | None ->
@@ -1524,17 +1140,16 @@ let run_evolve_bench args =
     tot_scratch := !tot_scratch +. (t1 -. t0);
     tot_inc := !tot_inc +. (t2 -. t1);
     rows :=
-      {
-        er_release = r;
-        er_scratch_s = t1 -. t0;
-        er_inc_s = t2 -. t1;
-        er_hits = dh;
-        er_misses = dm;
-        er_full_bytes = String.length b_inc;
-        er_delta_bytes = delta_bytes;
-        er_index_s = index_s;
-        er_delta_s = delta_s;
-      }
+      Json.Obj
+        [ ("release", int r);
+          ("scratch_s", Json.Num (t1 -. t0));
+          ("inc_s", Json.Num (t2 -. t1));
+          ("hits", int dh);
+          ("misses", int dm);
+          ("full_bytes", int (String.length b_inc));
+          ("delta_bytes", int delta_bytes);
+          ("index_s", Json.Num index_s);
+          ("delta_s", Json.Num delta_s) ]
       :: !rows;
     Printf.printf
       "  release %2d: identical (%d bytes); scratch %.2fs, incremental \
@@ -1545,48 +1160,58 @@ let run_evolve_bench args =
   done;
   let hits = Core.Perf.Stage.counter "incremental:hits" in
   let misses = Core.Perf.Stage.counter "incremental:misses" in
+  let ratio = if !tot_scratch > 0.0 then !tot_inc /. !tot_scratch else 0.0 in
   Printf.printf
     "Evolve bench: all %d releases bit-identical; wall %.2fs scratch vs \
      %.2fs incremental (ratio %.2f), cache reuse %d/%d\n%!"
-    (args.releases + 1) !tot_scratch !tot_inc
-    (if !tot_scratch > 0.0 then !tot_inc /. !tot_scratch else 0.0)
-    hits (hits + misses);
-  if args.json then
-    write_evolve_json ~packages:args.packages ~releases:args.releases
-      ~rows:(List.rev !rows) ~scratch_s:!tot_scratch ~inc_s:!tot_inc ~hits
-      ~misses ~git:(git_stamp ()) "BENCH_EVOLVE.json";
+    (!releases + 1) !tot_scratch !tot_inc ratio hits (hits + misses);
+  if !json then
+    Report.write "BENCH_EVOLVE.json"
+      [ ("packages", int !packages);
+        ("releases", int !releases);
+        ("identical", Json.Bool true);
+        ("scratch_wall_s", Json.Num !tot_scratch);
+        ("incremental_wall_s", Json.Num !tot_inc);
+        ("wall_ratio", Json.Num ratio);
+        ("cache_hits", int hits);
+        ("cache_misses", int misses);
+        ( "reuse",
+          Json.Num
+            (if hits + misses > 0 then
+               float_of_int hits /. float_of_int (hits + misses)
+             else 0.0) );
+        ("rows", Json.Arr (List.rev !rows)) ];
   print_endline "Evolve bench: OK"
 
 let () =
-  (* Hidden replica mode: exec'd by the cold-start bench, prints this
-     process's VmRSS (kB) after mapping the image and answering once. *)
+  (* Hidden child modes, matched on the exact argv: the cold-start
+     bench re-execs [--replica-rss IMG] to sample a replica's VmRSS,
+     the fleet bench re-execs [--fleet-shard IMG] for each shard. *)
   (match Array.to_list Sys.argv with
    | [ _; "--replica-rss"; image ] -> replica_rss_main image
    | [ _; "--fleet-shard"; image ] ->
      fleet_shard_main image;
      exit 0
    | _ -> ());
-  let args = parse_args () in
-  if args.query_bench then begin
-    run_query_bench args;
+  Arg.parse specs add_experiment usage;
+  let experiments = List.rev !experiments in
+  if !query_bench then begin
+    run_query_bench ();
     exit 0
   end;
-  if args.evolve_bench then begin
-    run_evolve_bench args;
+  if !evolve_bench then begin
+    run_evolve_bench ();
     exit 0
   end;
   let t0 = Unix.gettimeofday () in
   Printf.printf
     "Building the synthetic distribution (%d packages) and running the \
      full analysis pipeline...\n%!"
-    args.packages;
-  let env =
-    Study.Env.create
-      ~config:
-        { Core.Distro.Generator.default_config with
-          n_packages = args.packages }
-      ()
+    !packages;
+  let config =
+    { Core.Distro.Generator.default_config with n_packages = !packages }
   in
+  let env = Study.Env.create ~config () in
   let wall = Unix.gettimeofday () -. t0 in
   Printf.printf "Pipeline complete in %.1fs.\n%!" wall;
   Fmt.pr "Per-stage breakdown:@\n%a%!" Core.Perf.Stage.pp_report ();
@@ -1603,34 +1228,21 @@ let () =
   Printf.printf
     "Quarantined binaries: %d (expected 0 on the clean corpus).\n"
     quarantined;
-  let selected =
-    match args.ids with
-    | [] -> Study.Experiments.all
-    | ids -> List.filter_map Study.Experiments.find ids
-  in
   List.iter
     (fun (x : Study.Experiments.t) ->
       print_string (x.Study.Experiments.render env);
       print_newline ())
-    selected;
-  if args.ids = [] then print_table12 env;
-  let micro_results = if args.micro then run_micro env else [] in
-  if args.json then begin
-    let config =
-      { Core.Distro.Generator.default_config with n_packages = args.packages }
-    in
-    write_json ~packages:args.packages
+    (if experiments = [] then Study.Experiments.all else experiments);
+  if experiments = [] then print_table12 env;
+  let micro_results = if !micro then run_micro env else [] in
+  if !json then
+    write_json
       ~binaries:(List.length env.Study.Env.store.Core.Db.Store.bins)
-      ~wall ~micro_results ~git:(git_stamp ())
+      ~wall ~micro_results
       ~source_key:
         (Core.Db.Snapshot.source_key
            ~seed:config.Core.Distro.Generator.seed
            ~n_packages:config.Core.Distro.Generator.n_packages
            ~total_installs:config.Core.Distro.Generator.total_installs ())
-      (Printf.sprintf "BENCH_%d.json" args.packages)
-  end;
-  Option.iter
-    (check_against
-       ~stage_total_now:(stage_total (Core.Perf.Stage.report ()))
-       ~quarantined)
-    args.check_against
+      (Printf.sprintf "BENCH_%d.json" !packages);
+  Option.iter (check_against ~quarantined) !check_against_path

@@ -150,5 +150,4 @@ module Perf = struct
   module Histogram = Lapis_perf.Histogram
   module Parmap = Lapis_perf.Parmap
   module Bitset = Lapis_perf.Bitset
-  module Baseline = Lapis_perf.Baseline
 end

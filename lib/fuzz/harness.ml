@@ -20,11 +20,9 @@ type config = {
   seed : int;  (** campaign seed; printed so failures replay *)
   cases : int;  (** mutated inputs to run *)
   base_packages : int;  (** size of the generated seed corpus *)
-  trace : bool;  (** also run the bounded tracer on survivors *)
 }
 
-let default_config =
-  { seed = 0xF00D; cases = 1_000; base_packages = 25; trace = true }
+let default_config = { seed = 0xF00D; cases = 1_000; base_packages = 25 }
 
 type crash = {
   c_case : int;  (** case index, for replay *)
@@ -118,7 +116,7 @@ type outcome =
 (* Run the whole ingestion path over one mutated input. The only
    acceptable outcomes are [Survived] and [Rejected]: any exception
    escaping is the bug class this harness exists to find. *)
-let run_case ~trace world (bytes : string) : outcome =
+let run_case world (bytes : string) : outcome =
   match Reader.parse bytes with
   | Error e -> Rejected Reader.(kind_name (kind e))
   | Ok img ->
@@ -126,8 +124,7 @@ let run_case ~trace world (bytes : string) : outcome =
        let bin = Binary.analyze ~mode:Binary.Dataflow img in
        ignore (Binary.analyze ~mode:Binary.Linear img : Binary.t);
        ignore (Resolve.binary_footprint world bin : _);
-       if trace then
-         ignore (Trace.run ~limits:trace_limits world bin : Trace.result);
+       ignore (Trace.run ~limits:trace_limits world bin : Trace.result);
        Survived
      with e ->
        let bt = Printexc.get_backtrace () in
@@ -167,7 +164,7 @@ let run ?(config = default_config) () : report =
     let bytes, kinds = case_input config ~corpus:c i in
     List.iter (fun k -> bump mutations (Mutate.name k)) kinds;
     let t0 = Monotonic_clock.now () in
-    (match run_case ~trace:config.trace world bytes with
+    (match run_case world bytes with
      | Survived -> incr ok
      | Rejected kind -> bump rejected kind
      | Crashed (exn, bt) ->

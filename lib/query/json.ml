@@ -73,6 +73,50 @@ let to_string v =
   add buf v;
   Buffer.contents buf
 
+(* The shortest of %.15g/%.16g/%.17g that reads back as [f]: a file
+   meant for people keeps 0.1 as "0.1", yet parses back exactly. *)
+let shortest f =
+  let s = Printf.sprintf "%.15g" f in
+  if float_of_string s = f then s
+  else
+    let s = Printf.sprintf "%.16g" f in
+    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
+(* One item per line between [opening] and [closing], the items
+   [indent + 2] deep. *)
+let add_block buf indent opening closing item items =
+  Buffer.add_char buf opening;
+  List.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_char buf ',';
+      Buffer.add_char buf '\n';
+      Buffer.add_string buf (String.make (indent + 2) ' ');
+      item x)
+    items;
+  Buffer.add_char buf '\n';
+  Buffer.add_string buf (String.make indent ' ');
+  Buffer.add_char buf closing
+
+let to_string_indented v =
+  let buf = Buffer.create 1024 in
+  let rec go indent = function
+    | Num f when Float.is_finite f && not (Float.is_integer f) ->
+      Buffer.add_string buf (shortest f)
+    | Arr (_ :: _ as items) ->
+      add_block buf indent '[' ']' (go (indent + 2)) items
+    | Obj (_ :: _ as fields) ->
+      add_block buf indent '{' '}'
+        (fun (k, v) ->
+          add buf (Str k);
+          Buffer.add_string buf ": ";
+          go (indent + 2) v)
+        fields
+    | v -> add buf v
+  in
+  go 0 v;
+  Buffer.add_char buf '\n';
+  Buffer.contents buf
+
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)
 (* ------------------------------------------------------------------ *)

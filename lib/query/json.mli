@@ -1,6 +1,6 @@
-(** Minimal JSON for the serve protocol (the project carries no JSON
-    dependency). Total: malformed input yields [Error], never an
-    exception. *)
+(** Minimal JSON for the serve protocol and the bench reports (the
+    project carries no JSON dependency). Total: malformed input yields
+    [Error], never an exception. *)
 
 type t =
   | Null
@@ -12,6 +12,12 @@ type t =
 
 val to_string : t -> string
 (** Compact one-line rendering; non-finite numbers print as [null]. *)
+
+val to_string_indented : t -> string
+(** Multi-line rendering for files people read: one member or element
+    per line, indented by two spaces, ending in a newline. Non-integer
+    numbers print in the shortest form that parses back to the same
+    float. *)
 
 val parse : string -> (t, string) result
 (** Parse one complete JSON value (rejects trailing garbage). *)

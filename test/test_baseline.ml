@@ -1,9 +1,8 @@
-(* Tests for the bench-baseline reader and the stage-set comparison
-   behind [--check-against]: the committed baseline must keep loading,
-   and the drift logic must gate only the intersection of stage names
-   so baselines survive stages being added or removed by later PRs. *)
-
-module B = Core.Perf.Baseline
+(* Tests for the BENCH report format in bench/report.ml: the committed
+   baseline must keep loading, a written report must read back, and
+   the drift logic behind [--check-against] must gate only the
+   intersection of stage names so baselines survive stages being
+   added or removed. *)
 
 (* dune copies the committed baseline into the build tree; under
    [dune runtest] the cwd is _build/default/test, under [dune exec]
@@ -19,85 +18,71 @@ let baseline_path =
   | None -> List.hd candidates
 
 let load_exn path =
-  match B.load path with
-  | Ok t -> t
+  match Report.load_stages path with
+  | Ok stages -> stages
   | Error msg -> Alcotest.failf "load %s: %s" path msg
 
 let test_load_committed () =
-  let t = load_exn baseline_path in
-  (match t.B.stage_total_s with
-   | Some s ->
-     Alcotest.(check (float 1e-6)) "stage_total_s" 1.079102 s
-   | None -> Alcotest.fail "committed baseline lost its stage_total_s");
+  let stages = load_exn baseline_path in
   Alcotest.(check int) "committed baseline has 22 stages" 22
-    (List.length t.B.stages);
-  let find name =
-    List.find_opt (fun s -> s.B.bs_name = name) t.B.stages
-  in
-  (match find "resolve" with
-   | Some s ->
-     Alcotest.(check (float 1e-9)) "resolve seconds" 0.135910 s.B.bs_seconds
+    (List.length stages);
+  (match List.assoc_opt "resolve" stages with
+   | Some s -> Alcotest.(check (float 1e-9)) "resolve seconds" 0.135910 s
    | None -> Alcotest.fail "resolve stage missing");
-  if find "no-such-stage" <> None then
+  if List.mem_assoc "no-such-stage" stages then
     Alcotest.fail "phantom stage parsed"
 
 let test_compare_shared_only () =
   (* the gate sums only stages both sides have; one-sided stages are
      reported, never gated — a later PR adding a stage must not fail
      an old baseline, and a removed stage must not hide a regression *)
-  let baseline =
-    {
-      B.stage_total_s = Some 1.0;
-      stages =
-        [ { B.bs_name = "alpha"; bs_seconds = 0.4 };
-          { B.bs_name = "beta"; bs_seconds = 0.5 };
-          { B.bs_name = "gone"; bs_seconds = 0.1 } ];
-    }
-  in
+  let baseline = [ ("alpha", 0.4); ("beta", 0.5); ("gone", 0.1) ] in
   let now = [ ("alpha", 0.8); ("beta", 0.25); ("brand-new", 9.9) ] in
-  let v = B.compare_stages baseline now in
+  let v = Report.compare_stages baseline now in
   Alcotest.(check (float 1e-9)) "baseline side sums shared only" 0.9
-    v.B.shared_baseline_s;
+    v.shared_baseline_s;
   Alcotest.(check (float 1e-9)) "now side sums shared only" 1.05
-    v.B.shared_now_s;
+    v.shared_now_s;
   Alcotest.(check (list string)) "shared names" [ "alpha"; "beta" ]
-    (List.sort compare v.B.shared);
+    (List.sort compare v.shared);
   Alcotest.(check (list string)) "removed since baseline" [ "gone" ]
-    v.B.only_baseline;
+    v.only_baseline;
   Alcotest.(check (list string)) "added since baseline" [ "brand-new" ]
-    v.B.only_now
+    v.only_now
 
 let test_compare_disjoint () =
   (* a fully drifted stage set shares nothing: the caller must detect
      shared = [] and refuse to pass vacuously *)
-  let baseline =
-    { B.stage_total_s = None;
-      stages = [ { B.bs_name = "old"; bs_seconds = 1.0 } ] }
-  in
-  let v = B.compare_stages baseline [ ("new", 2.0) ] in
-  Alcotest.(check (list string)) "nothing shared" [] v.B.shared;
-  Alcotest.(check (float 0.0)) "no gated seconds" 0.0 v.B.shared_now_s
+  let v = Report.compare_stages [ ("old", 1.0) ] [ ("new", 2.0) ] in
+  Alcotest.(check (list string)) "nothing shared" [] v.shared;
+  Alcotest.(check (float 0.0)) "no gated seconds" 0.0 v.shared_now_s
+
+let with_temp_file f =
+  let path = Filename.temp_file "lapis-baseline" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
 
 let with_temp_json body f =
-  let path = Filename.temp_file "lapis-baseline" ".json" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
+  with_temp_file (fun path ->
       Out_channel.with_open_bin path (fun oc -> output_string oc body);
       f path)
 
-let test_load_total_only () =
-  (* baselines written before the stages array existed: total only *)
-  with_temp_json {|{
-  "packages": 50,
-  "stage_total_s": 0.25
-}|}
-    (fun path ->
-      let t = load_exn path in
-      Alcotest.(check int) "no stages" 0 (List.length t.B.stages);
-      match t.B.stage_total_s with
-      | Some s -> Alcotest.(check (float 1e-9)) "total" 0.25 s
-      | None -> Alcotest.fail "total lost")
+let test_write_reads_back () =
+  (* the stage rows a report writes are exactly what the gate loads *)
+  let lines =
+    [ { Core.Perf.Stage.l_name = "gen:roster"; l_seconds = 0.000456;
+        l_entries = 1 };
+      { l_name = "resolve"; l_seconds = 0.1 +. 0.2; l_entries = 382 };
+      { l_name = "odd \"name\"\n"; l_seconds = 1e-7; l_entries = 0 } ]
+  in
+  with_temp_file (fun path ->
+      Report.write path
+        [ ("packages", Core.Query.Json.Num 200.0); Report.stages lines ];
+      Alcotest.(check (list (pair string (float 0.0))))
+        "stage rows"
+        (List.map
+           (fun (l : Core.Perf.Stage.line) -> (l.l_name, l.l_seconds))
+           lines)
+        (load_exn path))
 
 let test_load_tolerates_unknown () =
   (* fields this reader does not know must not break it *)
@@ -110,14 +95,18 @@ let test_load_tolerates_unknown () =
   ]
 }|}
     (fun path ->
-      let t = load_exn path in
-      Alcotest.(check int) "one stage" 1 (List.length t.B.stages);
-      let s = List.hd t.B.stages in
-      Alcotest.(check string) "name" "one" s.B.bs_name;
-      Alcotest.(check (float 1e-9)) "seconds" 0.125 s.B.bs_seconds)
+      Alcotest.(check (list (pair string (float 1e-9))))
+        "one stage" [ ("one", 0.125) ] (load_exn path))
+
+let test_load_rejects_stageless () =
+  (* a report without stage rows gives the gate nothing to compare *)
+  with_temp_json {|{ "packages": 50, "stage_total_s": 0.25 }|} (fun path ->
+      match Report.load_stages path with
+      | Ok _ -> Alcotest.fail "loaded a report without stages"
+      | Error _ -> ())
 
 let test_load_missing_file () =
-  match B.load "/nonexistent/lapis-baseline.json" with
+  match Report.load_stages "/nonexistent/lapis-baseline.json" with
   | Ok _ -> Alcotest.fail "loaded a file that does not exist"
   | Error _ -> ()
 
@@ -126,10 +115,12 @@ let () =
     [ ( "load",
         [ Alcotest.test_case "committed baseline_200" `Quick
             test_load_committed;
-          Alcotest.test_case "total-only fallback" `Quick
-            test_load_total_only;
+          Alcotest.test_case "written report reads back" `Quick
+            test_write_reads_back;
           Alcotest.test_case "tolerates unknown fields" `Quick
             test_load_tolerates_unknown;
+          Alcotest.test_case "rejects a report without stages" `Quick
+            test_load_rejects_stageless;
           Alcotest.test_case "missing file" `Quick test_load_missing_file ]
       );
       ( "compare",

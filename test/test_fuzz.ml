@@ -8,7 +8,7 @@ module M = Core.Fuzz.Mutate
 module Rng = Core.Distro.Rng
 
 let small_config =
-  { H.default_config with H.cases = 400; base_packages = 8; seed = 99 }
+  { H.cases = 400; base_packages = 8; seed = 99 }
 
 let total = List.fold_left (fun n (_, v) -> n + v) 0
 

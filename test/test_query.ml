@@ -212,6 +212,46 @@ let test_json_rejects () =
       | Error _ -> ())
     bad
 
+(* Random values for the indented printer: finite floats of every
+   magnitude, and short strings dense in control characters, quotes
+   and backslashes. *)
+let gen_json =
+  QCheck2.Gen.(
+    let num =
+      oneof
+        [ map (fun f -> if Float.is_finite f then f else 0.5) float;
+          map float_of_int int;
+          float_range (-1000.0) 1000.0 ]
+    in
+    let str =
+      string_size
+        ~gen:(oneof [ char_range '\000' '\031'; oneofl [ '"'; '\\' ]; char ])
+        (int_range 0 8)
+    in
+    sized
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [ return Json.Null;
+                 map (fun b -> Json.Bool b) bool;
+                 map (fun f -> Json.Num f) num;
+                 map (fun s -> Json.Str s) str ]
+           in
+           if n <= 0 then leaf
+           else
+             let items = list_size (int_range 0 4) (self (n / 4)) in
+             oneof
+               [ leaf;
+                 map (fun l -> Json.Arr l) items;
+                 map
+                   (fun l -> Json.Obj l)
+                   (list_size (int_range 0 4) (pair str (self (n / 4)))) ]))
+
+let prop_indented_roundtrip =
+  QCheck2.Test.make ~count:1000 ~name:"indented printing parses back"
+    ~print:Json.to_string gen_json (fun j ->
+      Json.parse (Json.to_string_indented j) = Ok j)
+
 (* --- serve protocol ---------------------------------------------------- *)
 
 let respond line = parse_exn (Serve.handle_line (index ()) line)
@@ -380,7 +420,8 @@ let () =
           Alcotest.test_case "batch eval" `Quick test_eval_subsets_batch ] );
       ( "json",
         [ Alcotest.test_case "round-trip" `Quick test_json_roundtrip;
-          Alcotest.test_case "rejects" `Quick test_json_rejects ] );
+          Alcotest.test_case "rejects" `Quick test_json_rejects;
+          QCheck_alcotest.to_alcotest prop_indented_roundtrip ] );
       ( "serve",
         [ Alcotest.test_case "operations" `Quick test_serve_ops;
           Alcotest.test_case "errors" `Quick test_serve_errors;
