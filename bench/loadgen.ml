@@ -26,9 +26,9 @@
 
    The one-line JSON summary reports p50/p95/p99/max plus throughput.
    --max-p99-ms and --min-rps turn it into a CI gate. Against a fleet
-   under failure, --allow-degraded accepts structured
-   degraded/overloaded errors (counted separately, never as protocol
-   errors) and --expect-degraded requires at least one. *)
+   with a shard down, --allow-degraded accepts the structured
+   degraded errors its scatters answer (counted separately, never as
+   protocol errors) and --expect-degraded requires at least one. *)
 
 module Loadgen = Lapis_bench.Loadgen
 module Harness = Lapis_bench.Harness
@@ -58,10 +58,11 @@ let speclist =
       "MS fail if p99 latency exceeds this (0 = no gate)" );
     ( "--allow-degraded",
       Arg.Set allow_degraded,
-      " accept degraded/overloaded errors (counted separately)" );
+      " accept structured degraded errors, as a fleet with a shard \
+       down answers (counted separately)" );
     ( "--expect-degraded",
       Arg.Set expect_degraded,
-      " fail unless at least one degraded/overloaded response arrived" )
+      " fail unless at least one degraded response arrived" )
   ]
 
 (* The request kind follows the connection's own sequence number, not
@@ -111,9 +112,9 @@ let check id line : Loadgen.verdict =
       | Some (Json.Bool false) -> (
         match error_kind v with
         | Some k when Loadgen.refused_kind k ->
-          (* structured shedding, acceptable under --allow-degraded
-             whatever the request was: even the unknown op can be shed
-             before it is looked at *)
+          (* a structured refusal, acceptable under --allow-degraded:
+             a fleet with a shard down answers degraded to every op
+             that needs that shard *)
           if !allow_degraded then Refused k else wrong "unexpected %s error" k
         | kind ->
           if expect_ok id then
@@ -185,7 +186,7 @@ let () =
             ("lat_max_ms", Json.Num (pct 1.0)) ]));
   if ph.Loadgen.wrong > 0 then exit 1;
   if !expect_degraded && ph.Loadgen.refused = 0 then
-    fail "expected at least one degraded/overloaded response, saw none";
+    fail "expected at least one degraded response, saw none";
   if !min_rps > 0.0 && rps < !min_rps then
     fail "throughput %.1f rps below floor %.1f" rps !min_rps;
   if !max_p99_ms > 0.0 && p99 > !max_p99_ms then

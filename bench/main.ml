@@ -707,7 +707,7 @@ let fleet_stream ~subsets ~expected =
         ~expected:expected.(id mod n) ~tol:1e-12 r)
 
 (* A phase's qps and p99 in ms, counted only if every answer was
-   right; a shed answer fails it too. Raises rather than exits, so the
+   right; a refused (degraded) answer fails it too. Raises rather than exits, so the
    callers' [Fun.protect] stop the router and the shard processes on
    the way out. *)
 let fleet_phase (c : Loadgen.t) (ph : Loadgen.phase) =

@@ -1121,7 +1121,8 @@ let fleet_cmd =
     let doc =
       "Comma-separated $(i,HOST:PORT) list of already-running \
        $(b,lapis serve --tcp) shards to route over, instead of spawning \
-       any. All shards must serve the same snapshot."
+       any. $(i,HOST) is an IPv4 address; a host name is refused. All \
+       shards must serve the same snapshot."
     in
     Arg.(value & opt (some string) None & info [ "connect" ] ~docv:"SPECS" ~doc)
   in
@@ -1277,9 +1278,9 @@ let fleet_cmd =
      out as per-shard package-range partials and merge (within 1e-12 of a \
      single process); point queries round-robin. With $(b,--slice) each \
      shard maps only its own range-sliced image (~N-fold smaller \
-     footprint). The router sheds with structured $(i,overloaded) \
-     errors under saturation and answers $(i,degraded) errors while a \
-     shard is down."
+     footprint). Under saturation the router slows its clients through \
+     TCP, as $(b,lapis serve) does, and it answers $(i,degraded) errors \
+     while a shard is down."
   in
   Cmd.v
     (Cmd.info "fleet" ~doc)

@@ -4,9 +4,9 @@
     - a connection's mutable state ([next_seq], [outstanding],
       [pending], [next_write], flags) is only touched under its own
       mutex;
-    - the job queue is one Mutex/Condition queue; [submit] is the only
-      place the admission policy is read, and [Quit] bypasses the
-      bound so a full queue can never strand a worker;
+    - the job queue is one Mutex/Condition queue; [submit] blocks
+      while it is full, and [Quit] bypasses the bound so a full queue
+      can never strand a worker;
     - shutdown runs exactly once (an [Atomic] compare-and-set), either
       on the thread that called {!stop} or on the accept thread after
       a {!signal_stop}, and joins everything before declaring the
@@ -17,18 +17,15 @@ module P = Protocol
 
 type msg = Line of string | Frame of string | Broken of string
 
-type admission = Block | Shed of (msg -> string)
-
 type config = {
   host : string;
   port : int;
-  backlog : int;
   workers : int;
-  queue_bound : int;
-  admission : admission;
   spawn : (unit -> unit) -> unit -> unit;
   stage : string;
 }
+
+let backlog = 64
 
 type conn = {
   fd : Unix.file_descr;
@@ -48,6 +45,7 @@ type t = {
   cfg : config;
   lsock : Unix.file_descr;
   bound_port : int;
+  capacity : int;
   queue : job Queue.t;
   qmutex : Mutex.t;
   not_empty : Condition.t;
@@ -136,26 +134,12 @@ let submit t conn msg =
   conn.outstanding <- conn.outstanding + 1;
   Mutex.unlock conn.cmutex;
   Mutex.lock t.qmutex;
-  let full () = Queue.length t.queue >= t.cfg.queue_bound in
-  let shed =
-    match t.cfg.admission with
-    | Block ->
-      while full () do
-        Condition.wait t.not_full t.qmutex
-      done;
-      None
-    | Shed answer -> if full () then Some answer else None
-  in
-  match shed with
-  | None ->
-    Queue.push (Job (conn, seq, msg)) t.queue;
-    Condition.signal t.not_empty;
-    Mutex.unlock t.qmutex
-  | Some answer ->
-    Mutex.unlock t.qmutex;
-    (* the shed answer takes its sequence number like any other, so a
-       pipelining client still reads responses in send order *)
-    deliver conn seq (answer msg)
+  while Queue.length t.queue >= t.capacity do
+    Condition.wait t.not_full t.qmutex
+  done;
+  Queue.push (Job (conn, seq, msg)) t.queue;
+  Condition.signal t.not_empty;
+  Mutex.unlock t.qmutex
 
 let json_reader t conn ic ~first =
   (match first with
@@ -214,6 +198,7 @@ let dequeue t =
   job
 
 let queue_depth t = Mutex.protect t.qmutex (fun () -> Queue.length t.queue)
+let queue_capacity t = t.capacity
 
 let worker t answer () =
   let rec go () =
@@ -366,7 +351,7 @@ let listen cfg =
     (try
        Unix.setsockopt lsock Unix.SO_REUSEADDR true;
        Unix.bind lsock (Unix.ADDR_INET (addr, cfg.port));
-       Unix.listen lsock cfg.backlog
+       Unix.listen lsock backlog
      with e ->
        (try Unix.close lsock with Unix.Unix_error _ -> ());
        raise e);
@@ -387,6 +372,7 @@ let listen cfg =
         cfg;
         lsock;
         bound_port;
+        capacity = max 128 (cfg.workers * 32);
         queue = Queue.create ();
         qmutex = Mutex.create ();
         not_empty = Condition.create ();

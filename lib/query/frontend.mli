@@ -16,8 +16,9 @@
       stream is answered once ({!Broken}) and reading stops: binary
       framing cannot be resynchronized.
     - {b Admit.} Each message takes the connection's next sequence
-      number and enters one bounded job queue under the caller's
-      {!admission} policy.
+      number and enters one bounded job queue of {!queue_capacity}
+      slots. A full queue blocks the reader, so the client is slowed
+      through TCP instead of refused.
     - {b Answer.} A fixed pool of workers drains the queue through the
       caller's [answer]. An exception there becomes an [internal]
       error response in the message's own codec, never a dropped
@@ -38,24 +39,12 @@ type msg =
   | Broken of string
       (** an unrecoverable framing error on a binary stream *)
 
-type admission =
-  | Block
-      (** a full queue blocks the reader: back-pressure toward the
-          socket. For a process that evaluates its own queue, a
-          blocked reader is the cheapest overload signal. *)
-  | Shed of (msg -> string)
-      (** a full queue answers the message at once with these bytes,
-          in order through the resequencer. For a router, whose
-          workers wait on shard calls, queueing without bound would
-          only grow latency; refusing crisply bounds it. *)
-
 type config = {
   host : string;
   port : int;  (** [0] picks an ephemeral port, see {!port} *)
-  backlog : int;
   workers : int;
-  queue_bound : int;
-  admission : admission;
+      (** the worker pool; it also sizes the job queue to
+          [max 128 (workers * 32)] slots. The listen backlog is 64. *)
   spawn : (unit -> unit) -> unit -> unit;
       (** run one worker loop, returning its join: domains when the
           answer is CPU-bound evaluation, threads when it mostly waits
@@ -102,3 +91,6 @@ val wait : t -> unit
 
 val connections_served : t -> int
 val queue_depth : t -> int
+
+val queue_capacity : t -> int
+(** The job-queue bound, [max 128 (workers * 32)]. *)

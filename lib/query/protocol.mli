@@ -84,8 +84,9 @@ val unknown_op : string
 val parse_error : string
 val internal_error : string
 val overloaded : string
-(** Shed by the router's admission control instead of queueing
-    unboundedly. *)
+(** A refusal for want of capacity. Neither {!Server} nor {!Router}
+    answers it (a full queue blocks their readers instead); it stays a
+    kind that clients and load generators recognize. *)
 
 val degraded : string
 (** The shard owning part of the answer is unavailable; the router

@@ -1,10 +1,10 @@
 (** See the interface for semantics. Threading model: the client side
-    is the {!Frontend}, with shedding admission and a pool of plain
-    threads — gather work is IO-bound waiting on shard sockets, not
-    CPU-bound evaluation. Each shard has one pipelined connection: a mutex
-    serializes writes, a reader thread completes waiters by
-    router-assigned id, and a receive timeout turns a stalled shard
-    into failed calls rather than hung ones. Invariants:
+    is the {!Frontend} with a pool of plain threads — gather work is
+    IO-bound waiting on shard sockets, not CPU-bound evaluation. Each
+    shard has one pipelined connection: a mutex serializes writes, a
+    reader thread completes waiters by router-assigned id, and a
+    receive timeout turns a stalled shard into failed calls rather
+    than hung ones. Invariants:
 
     - all of a shard's mutable state ([fd], [healthy], [pending],
       [generation]) is touched only under its mutex; waiters are
@@ -24,22 +24,27 @@ module P = Protocol
 type shard_spec = { sh_host : string; sh_port : int }
 
 let shard_spec_of_string s =
-  let mk host port_s =
-    match int_of_string_opt port_s with
-    | Some p when p > 0 && p < 65536 -> Ok { sh_host = host; sh_port = p }
-    | _ -> Error (Printf.sprintf "bad shard port %S" port_s)
+  let host, port_s =
+    match String.rindex_opt s ':' with
+    | None -> ("127.0.0.1", s)
+    | Some i ->
+      (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
   in
-  match String.rindex_opt s ':' with
-  | None -> mk "127.0.0.1" s
-  | Some i ->
-    mk (String.sub s 0 i) (String.sub s (i + 1) (String.length s - i - 1))
+  let ipv4 =
+    match Unix.inet_addr_of_string host with
+    | addr -> Unix.domain_of_sockaddr (Unix.ADDR_INET (addr, 0)) = Unix.PF_INET
+    | exception Failure _ -> false
+  in
+  match int_of_string_opt port_s with
+  | _ when not ipv4 ->
+    Error (Printf.sprintf "shard host %S is not an IPv4 address" host)
+  | Some p when p > 0 && p < 65536 -> Ok { sh_host = host; sh_port = p }
+  | _ -> Error (Printf.sprintf "bad shard port %S" port_s)
 
 type config = {
   host : string;
   port : int;
-  backlog : int;
   workers : int;
-  queue_bound : int;
   shard_timeout : float;
   health_period : float;
   cache_capacity : int;
@@ -49,9 +54,7 @@ let default =
   {
     host = "127.0.0.1";
     port = 0;
-    backlog = 64;
     workers = 8;
-    queue_bound = 256;
     shard_timeout = 5.0;
     health_period = 1.0;
     cache_capacity = 512;
@@ -244,11 +247,9 @@ let connect_locked ~timeout sh =
   | None ->
     let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
     (try
-       let addr =
-         try Unix.inet_addr_of_string sh.spec.sh_host
-         with Failure _ -> Unix.inet_addr_loopback
-       in
-       Unix.connect fd (Unix.ADDR_INET (addr, sh.spec.sh_port));
+       Unix.connect fd
+         (Unix.ADDR_INET
+            (Unix.inet_addr_of_string sh.spec.sh_host, sh.spec.sh_port));
        (* scatter frames are small and latency-bound: never Nagle *)
        (try Unix.setsockopt fd Unix.TCP_NODELAY true
         with Unix.Unix_error _ -> ());
@@ -575,12 +576,11 @@ let forward t req =
 let router_gauges t () =
   [
     ("queue_depth", float_of_int (Frontend.queue_depth t.fe));
-    ("queue_capacity", float_of_int t.cfg.queue_bound);
+    ("queue_capacity", float_of_int (Frontend.queue_capacity t.fe));
     ("workers", float_of_int t.cfg.workers);
     ("connections", float_of_int (Frontend.connections_served t.fe));
     ("shards", float_of_int (Array.length t.shards));
     ("shards_healthy", float_of_int (healthy_count t));
-    ("shed", float_of_int (Stage.counter "router:shed"));
     ("sliced", if t.sliced then 1.0 else 0.0);
   ]
   @
@@ -609,8 +609,8 @@ let cacheable_op t = function
 
 (* Only deterministic results enter the cache: an [Ok] or a
    validation error is the same answer forever, but [degraded] /
-   [overloaded] / [internal] describe a moment — caching one would
-   keep answering it after the fleet recovered. *)
+   [internal] describe a moment — caching one would keep answering it
+   after the fleet recovered. *)
 let cache_worthy = function
   | Ok _ -> true
   | Error { P.e_kind; _ } ->
@@ -673,16 +673,6 @@ let handle_request t (request : P.request) : P.response =
 let answer t msg =
   Stage.incr "router:requests";
   Frontend.reply (handle_request t) msg
-
-(* The shed answer: the request's own id, so it correlates like any
-   other response. The worker pool never sees this request. *)
-let shed msg =
-  Stage.incr "router:shed";
-  Frontend.reply
-    (fun request ->
-      P.error_response ?id:request.P.rq_id ~kind:P.overloaded
-        "router queue full")
-    msg
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
@@ -847,10 +837,7 @@ let start ?(config = default) specs =
            {
              Frontend.host = config.host;
              port = config.port;
-             backlog = config.backlog;
              workers = config.workers;
-             queue_bound = config.queue_bound;
-             admission = Frontend.Shed shed;
              spawn =
                (fun f ->
                  let th = Thread.create f () in

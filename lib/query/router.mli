@@ -1,10 +1,12 @@
 (** Scatter/gather front-end for a serving fleet — the [lapis fleet]
     surface. The router listens through the same {!Frontend} as a
     single {!Server} (same {!Protocol}, both codecs, per-connection
-    response ordering) but owns no index: behind it, N shard processes each serve the full
-    index over TCP, and the router turns one [completeness] request
-    into N [partial-completeness] requests — one contiguous package
-    range per shard, the exact {!Query.shard_ranges} partition — and
+    response ordering) but owns no index: behind it, N shard
+    processes serve the index over TCP, each either the whole index or
+    one range slice of it (see {e Sliced fleets}). The router turns one
+    [completeness] request into N [partial-completeness] requests —
+    one contiguous package range per shard: the exact
+    {!Query.shard_ranges} partition, or each shard's own slice — and
     merges the partial sums in range order over the shared
     denominator. That is the same float regrouping
     {!Query.eval_syscalls_sharded} performs in-process, so a routed
@@ -17,8 +19,7 @@
     [partial-completeness]) forward to one shard, round-robin over
     the healthy ones. [ping], [hello] and [stats] answer locally —
     the router's [stats] reports its own gauges (queue depth and
-    bound, shard health, shed count and cache counters) and latency
-    histograms.
+    bound, shard health and cache counters) and latency histograms.
 
     {b Sliced fleets.} When the shards serve range-sliced images
     (their [stats] gauges report proper [slice_lo]/[slice_hi]
@@ -30,20 +31,18 @@
     per-API planes are whole in every slice.
 
     {b Caching.} Deterministic single-shard responses (results and
-    validation errors, never [degraded]/[overloaded]) are memoized in
+    validation errors, never [degraded]) are memoized in
     a router-side LRU keyed on {!Protocol.canonical_key}, so repeated
     point queries answer without touching a shard. Scatter ops never
     cache — a cached scatter would keep answering while a shard is
     down, hiding the degradation its all-shards dependency exists to
     surface.
 
-    {b Admission control.} The router's job queue is bounded and
-    {e shedding} ({!Frontend.Shed}): when it is full, new requests are
-    answered immediately with an ["overloaded"] error (in order,
-    through the per-connection resequencer) instead of queueing
-    unboundedly — under saturation the router degrades by refusing
-    crisply, not by growing latency without bound. Its workers are
-    threads: they spend their time waiting on shard sockets.
+    {b Admission.} The router's job queue is the {!Frontend}'s, as a
+    {!Server}'s is: bounded, and a full queue blocks the connection
+    readers, so a client that outruns the gather threads is slowed
+    through TCP rather than refused. Its workers are threads: they
+    spend their time waiting on shard sockets.
 
     {b Degradation.} Shard connections are pipelined and correlated
     by router-assigned ids, with a receive timeout so a stalled shard
@@ -57,18 +56,17 @@
 type shard_spec = { sh_host : string; sh_port : int }
 
 val shard_spec_of_string : string -> (shard_spec, string) result
-(** ["host:port"], or just ["port"] (host defaults to 127.0.0.1). *)
+(** ["host:port"] where [host] is an IPv4 address, or just ["port"]
+    (host 127.0.0.1). A host name is an [Error]: the router dials
+    addresses and resolves no names. *)
 
 type config = {
   host : string;  (** bind address; default ["127.0.0.1"] *)
   port : int;  (** [0] picks an ephemeral port *)
-  backlog : int;
   workers : int;
       (** gather threads — each scatters one request and waits on all
-          its shard calls, so this bounds concurrent scatters *)
-  queue_bound : int;
-      (** admission-control bound; requests beyond it are shed with
-          ["overloaded"] *)
+          its shard calls, so this bounds concurrent scatters. The
+          {!Frontend} sizes the job queue from it. *)
   shard_timeout : float;
       (** seconds a shard call may take before it counts as failed *)
   health_period : float;  (** seconds between shard health pings *)
@@ -79,8 +77,8 @@ type config = {
 }
 
 val default : config
-(** Loopback, ephemeral port, 8 workers, queue bound 256, 5s shard
-    timeout, 1s health period, 512 cache entries. *)
+(** Loopback, ephemeral port, 8 workers (so a 256-slot job queue), 5s
+    shard timeout, 1s health period, 512 cache entries. *)
 
 type t
 

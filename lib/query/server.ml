@@ -1,19 +1,16 @@
-(** A single serving process: the {!Frontend} with blocking admission
-    and a pool of worker domains, evaluating against the index of the
-    current epoch. The index and the cache are the only structures
-    shared by all workers, and both are safe by construction
-    (immutable / mutex'd); they live in an epoch behind an atomic
-    pointer so {!reload} can swap them without touching connections
-    (pin protocol below). *)
+(** A single serving process: the {!Frontend} with a pool of worker
+    domains, evaluating against the index of the current epoch. The
+    index and the cache are the only structures shared by all
+    workers, and both are safe by construction (immutable / mutex'd);
+    they live in an epoch behind an atomic pointer so {!reload} can
+    swap them without touching connections (pin protocol below). *)
 
 module Stage = Lapis_perf.Stage
 
 type config = {
   host : string;
   port : int;
-  backlog : int;
   workers : int option;
-  queue_bound : int option;
   cache_capacity : int;
 }
 
@@ -21,9 +18,7 @@ let default =
   {
     host = "127.0.0.1";
     port = 0;
-    backlog = 64;
     workers = None;
-    queue_bound = None;
     cache_capacity = 1024;
   }
 
@@ -44,7 +39,6 @@ type t = {
   epoch : epoch Atomic.t;
   cache_capacity : int;
   n_workers : int;
-  qcap : int;
   reload_mutex : Mutex.t;
 }
 
@@ -54,7 +48,7 @@ let gauges t ep () =
   let base =
     [
       ("queue_depth", float_of_int (Frontend.queue_depth t.fe));
-      ("queue_capacity", float_of_int t.qcap);
+      ("queue_capacity", float_of_int (Frontend.queue_capacity t.fe));
       ("workers", float_of_int t.n_workers);
       ("connections", float_of_int (Frontend.connections_served t.fe));
       ("epoch", float_of_int ep.ep_id);
@@ -140,20 +134,12 @@ let start ?(config = default) idx =
     | Some w -> max 1 w
     | None -> max 1 (Domain.recommended_domain_count () - 1)
   in
-  let qcap =
-    match config.queue_bound with
-    | Some b -> max 1 b
-    | None -> max 128 (workers * 32)
-  in
   match
     Frontend.listen
       {
         Frontend.host = config.host;
         port = config.port;
-        backlog = config.backlog;
         workers;
-        queue_bound = qcap;
-        admission = Frontend.Block;
         spawn =
           (fun f ->
             let d = Domain.spawn f in
@@ -171,7 +157,6 @@ let start ?(config = default) idx =
             (make_epoch ~id:0 ~cache_capacity:config.cache_capacity idx);
         cache_capacity = config.cache_capacity;
         n_workers = workers;
-        qcap;
         reload_mutex = Mutex.create ();
       }
     in

@@ -10,11 +10,10 @@
     dropped connection; an unframeable binary stream answers one
     error frame and stops reading (binary framing cannot be
     resynchronized). Connections go through the shared {!Frontend}
-    (accept, reader thread per connection, per-connection response
-    order, graceful drain); what the server adds:
+    (accept, reader thread per connection, a bounded job queue that
+    blocks readers when full, per-connection response order, graceful
+    drain); what the server adds:
 
-    - {e blocking} admission ({!Frontend.Block}): when the bounded job
-      queue fills, readers wait, which pushes back toward the sockets;
     - a fixed pool of worker {e domains} evaluating queries in
       parallel against the shared immutable {!Query.t} (evaluation
       allocates per-call scratch only, so no locking on the index);
@@ -44,22 +43,17 @@
 type config = {
   host : string;  (** bind address; default ["127.0.0.1"] *)
   port : int;  (** [0] picks an ephemeral port, see {!port} *)
-  backlog : int;
   workers : int option;
       (** evaluation domains; [None] means the machine's recommended
-          domain count (at least 1) *)
-  queue_bound : int option;
-      (** job-queue capacity — readers block (back-pressure toward
-          the sockets) when it fills; [None] means
-          [max 128 (workers * 32)] *)
+          domain count (at least 1). The {!Frontend} sizes the job
+          queue from it. *)
   cache_capacity : int;  (** response-cache entries; [0] disables *)
 }
 (** Everything {!start} needs beyond the index. Build one as
     [{ Server.default with workers = Some 4 }]. *)
 
 val default : config
-(** Loopback, ephemeral port, backlog 64, recommended workers,
-    derived queue bound, cache of 1024. *)
+(** Loopback, ephemeral port, recommended workers, cache of 1024. *)
 
 type t
 

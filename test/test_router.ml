@@ -2,8 +2,9 @@
    ephemeral ports behind a {!Router}, checking the routed
    completeness sum against the single-process evaluator (<= 1e-12),
    structured degradation when a shard dies (never a hang, never a
-   partial sum), admission-control shedding, round-robin forwarding,
-   and the binary client path end to end. *)
+   partial sum), back-pressure under a burst (every request answered,
+   none refused), round-robin forwarding, shard address parsing, and
+   the binary client path end to end. *)
 
 module Json = Core.Query.Json
 module P = Core.Query.Protocol
@@ -202,6 +203,12 @@ let test_local_ops_and_stats () =
          Alcotest.(check int) "stats shard gauge" (Array.length shards)
            (int_of_float f)
        | _ -> Alcotest.fail "stats lacks shards_healthy gauge");
+      (* 8 default workers derive the front end's 256-slot queue, and
+         a router that never refuses has no shed count to report *)
+      Alcotest.(check int) "stats queue capacity" 256
+        (int_of_float (num "queue_capacity" r));
+      Alcotest.(check bool) "no shed gauge" true
+        (Json.member "shed" r = None);
       let r = ask port {|{"op":"explode"}|} in
       Alcotest.(check string) "unknown op" "unknown-op" (error_kind r))
 
@@ -274,39 +281,62 @@ let test_all_shards_down () =
       Alcotest.(check bool) "ping still local" true
         (is_ok (ask port {|{"op":"ping"}|})))
 
-let test_overload_sheds_structured () =
-  (* a one-worker, one-slot router under a burst must shed with
-     structured overloaded errors, in per-connection order, and still
-     answer everything *)
+let test_burst_back_pressures () =
+  (* a one-worker router (a 128-slot queue) under a 400-request burst
+     on one connection: a full queue blocks the reader instead of
+     refusing, so every request is answered ok, in send order, and
+     right *)
   with_fleet ~n:2
-    ~config:{ Router.default with workers = 1; queue_bound = 1 }
+    ~config:{ Router.default with workers = 1 }
     (fun router _ ->
       let port = Router.port router in
-      let n = 200 in
+      let subsets = [| [ 0; 1; 2; 3; 4 ]; []; [ 5; 9; 60 ]; [ 7 ] |] in
+      let expected = Array.map (Engine.eval_syscalls (index ())) subsets in
+      let n = 400 in
       let reqs =
         List.init n (fun i ->
-            Printf.sprintf
-              {|{"op":"completeness","syscalls":[0,1,2,3,4],"id":%d}|} i)
+            let nrs =
+              String.concat ","
+                (List.map string_of_int subsets.(i mod Array.length subsets))
+            in
+            Printf.sprintf {|{"op":"completeness","syscalls":[%s],"id":%d}|}
+              nrs i)
       in
       let resps = converse port reqs in
       Alcotest.(check int) "every request answered" n (List.length resps);
-      let shed = ref 0 in
       List.iteri
         (fun i r ->
+          if not (is_ok r) then
+            Alcotest.failf "response %d refused: %s" i (Json.to_string r);
           Alcotest.(check int)
             (Printf.sprintf "response %d in order" i)
             i
             (int_of_float (num "id" r));
-          if not (is_ok r) then begin
-            Alcotest.(check string)
-              (Printf.sprintf "response %d shed kind" i)
-              "overloaded" (error_kind r);
-            incr shed
-          end)
+          let want = expected.(i mod Array.length subsets) in
+          let got = num "completeness" r in
+          if Float.abs (got -. want) > 1e-12 then
+            Alcotest.failf "response %d: %.17g vs %.17g" i got want)
         resps;
-      if !shed = 0 then
-        Alcotest.fail "burst never tripped admission control";
-      if !shed = n then Alcotest.fail "every request was shed")
+      Alcotest.(check int) "derived queue bound" 128
+        (int_of_float (num "queue_capacity" (ask port {|{"op":"stats"}|}))))
+
+(* --- shard addresses -------------------------------------------------- *)
+
+let test_shard_spec_needs_an_address () =
+  (* the router dials addresses and resolves no names: a host name is
+     refused up front rather than dialled as some other host *)
+  let parse s =
+    match Router.shard_spec_of_string s with
+    | Ok sp -> Ok (sp.Router.sh_host, sp.Router.sh_port)
+    | Error _ -> Error ()
+  in
+  let spec = Alcotest.(result (pair string int) unit) in
+  Alcotest.check spec "host name" (Error ()) (parse "db1:7001");
+  Alcotest.check spec "IPv4 address" (Ok ("10.0.0.2", 7001))
+    (parse "10.0.0.2:7001");
+  Alcotest.check spec "port only" (Ok ("127.0.0.1", 7001)) (parse "7001");
+  Alcotest.check spec "IPv6 address" (Error ()) (parse "::1:7001");
+  Alcotest.check spec "bad port" (Error ()) (parse "10.0.0.2:70000")
 
 (* --- sliced fleet ----------------------------------------------------- *)
 
@@ -518,8 +548,11 @@ let () =
         [ Alcotest.test_case "shard down is structured" `Quick
             test_shard_down_structured;
           Alcotest.test_case "all shards down" `Quick test_all_shards_down;
-          Alcotest.test_case "overload sheds" `Quick
-            test_overload_sheds_structured ] );
+          Alcotest.test_case "burst back-pressures" `Quick
+            test_burst_back_pressures ] );
+      ( "addresses",
+        [ Alcotest.test_case "shard spec needs an address" `Quick
+            test_shard_spec_needs_an_address ] );
       ( "sliced",
         [ Alcotest.test_case "sliced fleet matches single-process" `Quick
             test_sliced_fleet_matches_single_process ] );

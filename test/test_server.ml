@@ -71,7 +71,12 @@ let test_single_client () =
         Alcotest.(check bool) "malformed answered, not dropped" false
           (is_ok c);
         Alcotest.(check bool) "stats ok after bad line" true (is_ok d);
-        Alcotest.(check int) "stats id" 4 (id_of d)
+        Alcotest.(check int) "stats id" 4 (id_of d);
+        (* two workers derive the front end's minimum 128-slot queue *)
+        (match Json.member "queue_capacity" d with
+         | Some (Json.Num f) ->
+           Alcotest.(check int) "stats queue capacity" 128 (int_of_float f)
+         | _ -> Alcotest.fail "stats lacks queue_capacity")
       | l -> Alcotest.failf "expected 4 responses, got %d" (List.length l))
 
 let test_concurrent_clients () =
