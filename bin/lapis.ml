@@ -899,16 +899,20 @@ let serve_cmd =
   let tcp_arg =
     let doc =
       "Serve over TCP on 127.0.0.1:$(docv) instead of stdin/stdout: an \
-       accept loop plus a pool of worker domains answers any number of \
-       concurrent clients (same line-delimited JSON protocol). SIGINT \
-       shuts down gracefully — queued requests are answered first."
+       accept loop hands each connection to a reader thread, which \
+       answers its requests in order as it reads them; the readers of \
+       concurrent clients run in parallel across the worker domains \
+       (same line-delimited JSON protocol). SIGINT shuts down \
+       gracefully — every request already sent is answered first."
     in
     Arg.(value & opt (some int) None & info [ "tcp" ] ~docv:"PORT" ~doc)
   in
   let workers_arg =
     let doc =
-      "Worker domains for --tcp (default: the machine's recommended \
-       domain count minus one, at least 1)."
+      "Domains the --tcp connections are spread over, round-robin; \
+       the serving process's own domain counts as one, so 1 spawns no \
+       other (default: the machine's recommended domain count minus \
+       one, at least 1)."
     in
     Arg.(value & opt (some int) None & info [ "workers" ] ~docv:"N" ~doc)
   in
@@ -1009,9 +1013,13 @@ let serve_cmd =
            let full = load_image path in
            cut_slice full ~range out;
            let idx = load_image out in
-           (* drop the full mapping before serving: the slice is the
-              whole point of the shard's small footprint *)
-           Gc.compact ();
+           (* drop the full mapping and the cut's garbage before
+              serving: the slice is the whole point of the shard's
+              small footprint. A full major cycle runs the mapping's
+              finalizer; [Gc.compact] on OCaml 5.1 leaves both
+              resident (~11 MB of a 600-package shard's ~36 MB) until
+              serving's own allocation completes a later cycle. *)
+           Gc.full_major ();
            idx)
       | _ -> (make_env ?snapshot ?base packages seed).Study.Env.index
     in
@@ -1212,7 +1220,8 @@ let fleet_cmd =
               exit 2
             end;
             let n = Query.n_packages (load_image path) in
-            Gc.compact ();
+            (* unmap the image: the router serves from its shards *)
+            Gc.full_major ();
             List.mapi
               (fun i (lo, hi) ->
                 (tcp + 1 + i, [ "--slice"; Printf.sprintf "%d:%d" lo hi ]))

@@ -4,9 +4,10 @@
     - a connection's mutable state ([next_seq], [outstanding],
       [pending], [next_write], flags) is only touched under its own
       mutex;
-    - the job queue is one Mutex/Condition queue; [submit] blocks
-      while it is full, and [Quit] bypasses the bound so a full queue
-      can never strand a worker;
+    - a reader thread is started by the domain it lives in: the
+      accept thread starts the calling domain's, and each other
+      domain runs a host loop that starts the readers posted to it
+      and, once told to quit, joins them before it returns;
     - shutdown runs exactly once (an [Atomic] compare-and-set), either
       on the thread that called {!stop} or on the accept thread after
       a {!signal_stop}, and joins everything before declaring the
@@ -20,8 +21,7 @@ type msg = Line of string | Frame of string | Broken of string
 type config = {
   host : string;
   port : int;
-  workers : int;
-  spawn : (unit -> unit) -> unit -> unit;
+  domains : int;
   stage : string;
 }
 
@@ -33,30 +33,34 @@ type conn = {
   mutable next_seq : int;  (* next sequence number the reader assigns *)
   mutable next_write : int;  (* next sequence number to go on the wire *)
   pending : (int, string) Hashtbl.t;  (* finished out-of-order responses *)
-  mutable outstanding : int;  (* submitted and not yet written *)
+  mutable outstanding : int;  (* handed to [handle] and not yet written *)
   mutable reader_done : bool;
   mutable dead : bool;  (* write failed; drop the rest silently *)
   mutable closed : bool;
 }
 
-type job = Job of conn * int * msg | Quit
+(* A domain other than the caller's, hosting reader threads. *)
+type host = {
+  hmutex : Mutex.t;
+  posted : Condition.t;
+  mutable inbox : (unit -> unit) list;  (* readers to start, newest first *)
+  mutable quit : bool;
+}
 
 type t = {
   cfg : config;
   lsock : Unix.file_descr;
   bound_port : int;
-  capacity : int;
-  queue : job Queue.t;
-  qmutex : Mutex.t;
-  not_empty : Condition.t;
-  not_full : Condition.t;
+  hosts : host array;  (* reader slot [i + 1]; slot 0 is the caller's domain *)
+  mutable next_slot : int;  (* accept thread only *)
+  mutable domains : unit Domain.t list;
   stop_flag : bool Atomic.t;
   shutdown_started : bool Atomic.t;
   accepted : int Atomic.t;
   conns_mutex : Mutex.t;
   mutable conns : conn list;
-  mutable readers : Thread.t list;
-  mutable joins : (unit -> unit) list;  (* one per worker *)
+  mutable readers : Thread.t list;  (* the caller's domain's *)
+  mutable handle : msg -> (string -> unit) -> unit;
   mutable teardown : unit -> unit;
   mutable accept_thread : Thread.t option;
   fin_mutex : Mutex.t;
@@ -68,26 +72,34 @@ type t = {
 (* Codecs                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let encode msg response =
-  match msg with
-  | Line _ -> Json.to_string (P.json_of_response response) ^ "\n"
-  | Frame _ | Broken _ -> P.Bin.encode_response response
+let codec = function Line _ -> P.Json_lines | Frame _ | Broken _ -> P.Binary
+
+let answer handle msg =
+  let codec = codec msg in
+  let decoded =
+    match msg with
+    | Line line ->
+      (match Json.parse line with
+       | Error m -> Error (P.error_response ~kind:P.parse_error m)
+       | Ok j -> P.request_of_json j)
+    | Frame payload ->
+      (match P.Bin.decode_request payload with
+       | Error m -> Error (P.error_response ~kind:P.parse_error m)
+       | Ok request -> Ok request)
+    | Broken m -> Error (P.error_response ~kind:P.parse_error m)
+  in
+  match decoded with
+  | Error response -> P.encode_response codec response
+  | Ok request ->
+    (* the never-crash contract's last line of defence *)
+    (try handle codec request
+     with e ->
+       P.encode_response codec
+         (P.error_response ?id:request.P.rq_id ~kind:P.internal_error
+            (Printexc.to_string e)))
 
 let reply handle msg =
-  encode msg
-    (match msg with
-     | Line line ->
-       (match Json.parse line with
-        | Error m -> P.error_response ~kind:P.parse_error m
-        | Ok j ->
-          (match P.request_of_json j with
-           | Error e -> e
-           | Ok request -> handle request))
-     | Frame payload ->
-       (match P.Bin.decode_request payload with
-        | Error m -> P.error_response ~kind:P.parse_error m
-        | Ok request -> handle request)
-     | Broken m -> P.error_response ~kind:P.parse_error m)
+  answer (fun codec request -> P.encode_response codec (handle request)) msg
 
 (* ------------------------------------------------------------------ *)
 (* Per-connection plumbing                                             *)
@@ -127,29 +139,23 @@ let deliver conn seq bytes =
   maybe_close conn;
   Mutex.unlock conn.cmutex
 
-let submit t conn msg =
+let dispatch t conn msg =
   Mutex.lock conn.cmutex;
   let seq = conn.next_seq in
   conn.next_seq <- seq + 1;
   conn.outstanding <- conn.outstanding + 1;
   Mutex.unlock conn.cmutex;
-  Mutex.lock t.qmutex;
-  while Queue.length t.queue >= t.capacity do
-    Condition.wait t.not_full t.qmutex
-  done;
-  Queue.push (Job (conn, seq, msg)) t.queue;
-  Condition.signal t.not_empty;
-  Mutex.unlock t.qmutex
+  t.handle msg (deliver conn seq)
 
 let json_reader t conn ic ~first =
   (match first with
-   | Some line when String.trim line <> "" -> submit t conn (Line line)
+   | Some line when String.trim line <> "" -> dispatch t conn (Line line)
    | _ -> ());
   let continue = ref true in
   while !continue do
     match In_channel.input_line ic with
     | None -> continue := false
-    | Some line -> if String.trim line <> "" then submit t conn (Line line)
+    | Some line -> if String.trim line <> "" then dispatch t conn (Line line)
   done
 
 let binary_reader t conn ic =
@@ -158,10 +164,10 @@ let binary_reader t conn ic =
   let rec go input =
     match input ic with
     | Ok payload ->
-      submit t conn (Frame payload);
+      dispatch t conn (Frame payload);
       go P.Bin.input_frame
     | Error `Eof -> ()
-    | Error (`Bad msg) -> submit t conn (Broken msg)
+    | Error (`Bad msg) -> dispatch t conn (Broken msg)
   in
   go P.Bin.input_frame_body
 
@@ -184,38 +190,29 @@ let reader t conn () =
   Mutex.unlock conn.cmutex
 
 (* ------------------------------------------------------------------ *)
-(* Workers                                                             *)
+(* Reader domains                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let dequeue t =
-  Mutex.lock t.qmutex;
-  while Queue.is_empty t.queue do
-    Condition.wait t.not_empty t.qmutex
-  done;
-  let job = Queue.pop t.queue in
-  Condition.signal t.not_full;
-  Mutex.unlock t.qmutex;
-  job
-
-let queue_depth t = Mutex.protect t.qmutex (fun () -> Queue.length t.queue)
-let queue_capacity t = t.capacity
-
-let worker t answer () =
+let host_loop h () =
+  let threads = ref [] in
   let rec go () =
-    match dequeue t with
-    | Quit -> ()
-    | Job (conn, seq, msg) ->
-      (* the never-crash contract's last line of defence for the pool *)
-      let response =
-        try answer msg
-        with e ->
-          encode msg
-            (P.error_response ~kind:P.internal_error (Printexc.to_string e))
-      in
-      deliver conn seq response;
-      go ()
+    Mutex.lock h.hmutex;
+    while h.inbox = [] && not h.quit do
+      Condition.wait h.posted h.hmutex
+    done;
+    let starts = List.rev h.inbox and quit = h.quit in
+    h.inbox <- [];
+    Mutex.unlock h.hmutex;
+    List.iter (fun f -> threads := Thread.create f () :: !threads) starts;
+    if not quit then go ()
   in
-  go ()
+  go ();
+  List.iter Thread.join !threads
+
+let post h f =
+  Mutex.protect h.hmutex (fun () ->
+      h.inbox <- f :: h.inbox;
+      Condition.signal h.posted)
 
 (* ------------------------------------------------------------------ *)
 (* Shutdown                                                            *)
@@ -238,12 +235,15 @@ let drain t =
       Mutex.unlock c.cmutex)
     conns;
   List.iter Thread.join readers;
-  (* Every job is in the queue now; the queue is FIFO, so a Quit per
-     worker lets the pool finish the backlog first. *)
-  Mutex.protect t.qmutex (fun () ->
-      List.iter (fun _ -> Queue.push Quit t.queue) t.joins;
-      Condition.broadcast t.not_empty);
-  List.iter (fun join -> join ()) t.joins;
+  Array.iter
+    (fun h ->
+      Mutex.protect h.hmutex (fun () ->
+          h.quit <- true;
+          Condition.signal h.posted))
+    t.hosts;
+  List.iter Domain.join t.domains;
+  (* Every message has been handed to [handle]; the caller answers
+     whatever it still holds before its teardown returns. *)
   t.teardown ();
   List.iter
     (fun c ->
@@ -277,9 +277,12 @@ let track t fd =
       closed = false;
     }
   in
+  let slot = t.next_slot mod (Array.length t.hosts + 1) in
+  t.next_slot <- t.next_slot + 1;
   Mutex.lock t.conns_mutex;
   t.conns <- conn :: t.conns;
-  t.readers <- Thread.create (reader t conn) () :: t.readers;
+  if slot = 0 then t.readers <- Thread.create (reader t conn) () :: t.readers
+  else post t.hosts.(slot - 1) (reader t conn);
   Mutex.unlock t.conns_mutex
 
 let acceptor t () =
@@ -342,11 +345,8 @@ let stop t =
 let listen cfg =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
-  let addr =
-    try Unix.inet_addr_of_string cfg.host
-    with Failure _ -> Unix.inet_addr_loopback
-  in
   match
+    let addr = Unix.inet_addr_of_string cfg.host in
     let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
     (try
        Unix.setsockopt lsock Unix.SO_REUSEADDR true;
@@ -357,6 +357,8 @@ let listen cfg =
        raise e);
     lsock
   with
+  | exception Failure _ ->
+    Error (Printf.sprintf "bind host %S is not an IPv4 address" cfg.host)
   | exception Unix.Unix_error (e, _, _) ->
     Error
       (Printf.sprintf "cannot listen on %s:%d: %s" cfg.host cfg.port
@@ -372,18 +374,23 @@ let listen cfg =
         cfg;
         lsock;
         bound_port;
-        capacity = max 128 (cfg.workers * 32);
-        queue = Queue.create ();
-        qmutex = Mutex.create ();
-        not_empty = Condition.create ();
-        not_full = Condition.create ();
+        hosts =
+          Array.init (max 1 cfg.domains - 1) (fun _ ->
+              {
+                hmutex = Mutex.create ();
+                posted = Condition.create ();
+                inbox = [];
+                quit = false;
+              });
+        next_slot = 0;
+        domains = [];
         stop_flag = Atomic.make false;
         shutdown_started = Atomic.make false;
         accepted = Atomic.make 0;
         conns_mutex = Mutex.create ();
         conns = [];
         readers = [];
-        joins = [];
+        handle = (fun _ _ -> ());
         teardown = ignore;
         accept_thread = None;
         fin_mutex = Mutex.create ();
@@ -391,7 +398,42 @@ let listen cfg =
         finished = false;
       }
 
-let run t ~answer ~teardown =
+let run t ~handle ~teardown =
+  t.handle <- handle;
   t.teardown <- teardown;
-  t.joins <- List.init (max 1 t.cfg.workers) (fun _ -> t.cfg.spawn (worker t answer));
+  t.domains <-
+    Array.to_list (Array.map (fun h -> Domain.spawn (host_loop h)) t.hosts);
   t.accept_thread <- Some (Thread.create (acceptor t) ())
+
+(* ------------------------------------------------------------------ *)
+(* Process gauges                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* VmRSS in kB, from the kernel's own accounting; absent off Linux.
+   Read line by line: [In_channel.input_all] would allocate a 64 KB
+   buffer on the major heap per sample. *)
+let vm_rss_kb () =
+  match In_channel.open_text "/proc/self/status" with
+  | exception Sys_error _ -> None
+  | ic ->
+    Fun.protect
+      ~finally:(fun () -> In_channel.close ic)
+      (fun () ->
+        let rec find () =
+          match In_channel.input_line ic with
+          | None -> None
+          | Some line -> (
+            match String.split_on_char ':' line with
+            | [ "VmRSS"; v ] ->
+              Scanf.sscanf_opt (String.trim v) "%d kB" float_of_int
+            | _ -> find ())
+        in
+        find ())
+
+let process_gauges () =
+  let gc = Gc.quick_stat () in
+  [
+    ("gc_heap_words", float_of_int gc.Gc.heap_words);
+    ("gc_top_heap_words", float_of_int gc.Gc.top_heap_words);
+  ]
+  @ match vm_rss_kb () with Some kb -> [ ("rss_kb", kb) ] | None -> []

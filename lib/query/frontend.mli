@@ -5,33 +5,32 @@
     - {b Accept.} A [select]-polled accept loop on its own thread.
       Every connection gets [TCP_NODELAY] (request and response frames
       are small; Nagle would park each response behind a delayed ACK)
-      and a reader thread. On stop, whatever the listen backlog already
-      holds is accepted before the socket closes — those clients'
-      handshakes made it in, and closing first would RST them
-      unanswered.
+      and a reader thread. Reader threads are spread round-robin over
+      [domains] domains, the calling one included, so connections are
+      read and answered in parallel. On stop, whatever the listen
+      backlog already holds is accepted before the socket closes —
+      those clients' handshakes made it in, and closing first would
+      RST them unanswered.
     - {b Read.} The reader picks the connection's codec from its first
       byte — {!Protocol.Bin.magic} means binary frames, anything else
-      JSON lines — and only splits messages and submits them, so an
-      idle or slow client never holds a worker. An unframeable binary
-      stream is answered once ({!Broken}) and reading stops: binary
-      framing cannot be resynchronized.
-    - {b Admit.} Each message takes the connection's next sequence
-      number and enters one bounded job queue of {!queue_capacity}
-      slots. A full queue blocks the reader, so the client is slowed
-      through TCP instead of refused.
-    - {b Answer.} A fixed pool of workers drains the queue through the
-      caller's [answer]. An exception there becomes an [internal]
-      error response in the message's own codec, never a dropped
-      connection.
-    - {b Resequence.} Finished responses park per connection and go
-      on the wire in that connection's send order, whatever order the
-      pool finished them in. The fd closes once, when the reader has
-      hit EOF and every accepted message has been answered.
+      JSON lines — splits messages, gives each the connection's next
+      sequence number and calls the caller's [handle msg reply]. An
+      unframeable binary stream is answered once ({!Broken}) and
+      reading stops: binary framing cannot be resynchronized.
+    - {b Answer.} The caller decides where a message is answered.
+      {!Server} answers on the reader thread, so one connection's
+      messages are answered in order, one at a time; {!Router} hands
+      them to its own bounded pool. Either way [reply] is called once
+      per message, from any thread.
+    - {b Resequence.} A reply that arrives in send order goes on the
+      wire at once; one that finished early parks until the replies
+      before it are written. The fd closes once, when the reader has
+      hit EOF and every message has been answered.
     - {b Stop.} Exactly once, on whichever thread wins: stop
       accepting, half-close every connection so readers drain what
-      clients already sent, let the workers finish every queued job,
-      join them, run the caller's teardown, close, and release
-      {!wait}ers. *)
+      clients already sent, join the readers, run the caller's
+      teardown (which answers whatever it still holds), close, and
+      release {!wait}ers. *)
 
 type msg =
   | Line of string  (** one JSON request line, newline stripped *)
@@ -40,15 +39,12 @@ type msg =
       (** an unrecoverable framing error on a binary stream *)
 
 type config = {
-  host : string;
+  host : string;  (** an IPv4 address *)
   port : int;  (** [0] picks an ephemeral port, see {!port} *)
-  workers : int;
-      (** the worker pool; it also sizes the job queue to
-          [max 128 (workers * 32)] slots. The listen backlog is 64. *)
-  spawn : (unit -> unit) -> unit -> unit;
-      (** run one worker loop, returning its join: domains when the
-          answer is CPU-bound evaluation, threads when it mostly waits
-          on other sockets *)
+  domains : int;
+      (** domains the reader threads are spread over, the calling
+          domain included: [1] keeps every reader in the caller's
+          domain. The listen backlog is 64. *)
   stage : string;
       (** prefix of the {!Lapis_perf.Stage} connection counter *)
 }
@@ -57,20 +53,34 @@ type t
 
 val listen : config -> (t, string) result
 (** Bind and listen; nothing is accepted until {!run}. [Error] with a
-    readable message when the socket cannot be bound. Also makes
-    SIGPIPE ignored, so writing to a gone client is an [EPIPE]. *)
+    readable message when [host] is not an address or the socket
+    cannot be bound. Also makes SIGPIPE ignored, so writing to a gone
+    client is an [EPIPE]. *)
 
-val run : t -> answer:(msg -> string) -> teardown:(unit -> unit) -> unit
-(** Spawn the workers and the accept loop. [answer] returns the
-    complete response bytes — newline included for JSON, frame
-    included for binary. [teardown] runs once during the drain, after
-    the workers have joined. *)
+val run :
+  t ->
+  handle:(msg -> (string -> unit) -> unit) ->
+  teardown:(unit -> unit) ->
+  unit
+(** Spawn the reader domains and the accept loop. [handle msg reply]
+    runs on the connection's reader thread and must call [reply] once
+    with the complete response bytes — newline included for JSON,
+    frame included for binary — then or later, on any thread. It
+    must not raise; {!answer} is total. [teardown] runs once during
+    the drain, after every reader has finished, and must return only
+    once every [reply] still owed has been made. *)
+
+val answer : (Protocol.codec -> Protocol.request -> string) -> msg -> string
+(** Decode [msg] in its codec and answer it with the handler, which
+    returns the response bytes in that codec. Undecodable input gets
+    a [parse] (or field-validation) error response; the handler only
+    ever sees well-formed requests. An exception from the handler
+    becomes an [internal] error response, never a dropped
+    connection. *)
 
 val reply : (Protocol.request -> Protocol.response) -> msg -> string
-(** Decode [msg] in its codec, answer it with the handler, encode the
-    response in the same codec. Undecodable input gets a [parse] (or
-    field-validation) error response; the handler only ever sees
-    well-formed requests. *)
+(** {!answer} with a typed handler, whose response is encoded in the
+    message's codec. *)
 
 val port : t -> int
 (** The bound port. *)
@@ -90,7 +100,8 @@ val wait : t -> unit
 (** Block until the front end has fully stopped. *)
 
 val connections_served : t -> int
-val queue_depth : t -> int
 
-val queue_capacity : t -> int
-(** The job-queue bound, [max 128 (workers * 32)]. *)
+val process_gauges : unit -> (string * float) list
+(** The process's memory, for [stats]: [gc_heap_words] and
+    [gc_top_heap_words] from [Gc.quick_stat], and [rss_kb] (VmRSS,
+    where [/proc/self/status] exists). *)

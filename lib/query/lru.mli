@@ -1,12 +1,12 @@
 (** Thread-safe LRU cache for the serving layer. Every operation takes
-    an internal mutex, so one cache may be shared by all worker domains
+    an internal mutex, so one cache may be shared by all the domains
     of the TCP server; the critical sections are a hashtable probe and
     a couple of pointer swaps, far below the cost of the query either
     side of them.
 
-    Keys are canonicalized request strings ({!Protocol.canonical_key}) and
-    values are the id-free response objects, but the cache itself is
-    generic. *)
+    Keys are canonicalized requests ({!Protocol.canonical_key}) and
+    values are id-free responses — encoded bytes in {!Serve}, typed
+    results in {!Router} — but the cache itself is generic. *)
 
 type ('k, 'v) t
 

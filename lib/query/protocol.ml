@@ -258,12 +258,6 @@ let json_of_request { rq_id; rq_op } =
   | None -> Json.Obj fields
   | Some id -> Json.Obj (("id", id) :: fields)
 
-(* The canonicalization point: the typed request already collapsed
-   field order, unknown fields and default-phase spellings, so its
-   deterministic id-less encoding is the key. *)
-let canonical_key request =
-  Json.to_string (json_of_request { request with rq_id = None })
-
 (* ------------------------------------------------------------------ *)
 (* JSON codec: responses                                               *)
 (* ------------------------------------------------------------------ *)
@@ -728,6 +722,16 @@ module Bin = struct
     write_response b r;
     frame (Buffer.contents b)
 
+  (* An id-less response frame is magic, length, tag, the [None] id
+     byte, body; the id goes between the tag and the body. *)
+  let splice_id id idless =
+    let n = String.length idless in
+    let p = Buffer.create (n + 16) in
+    Buffer.add_char p idless.[5];
+    w_id p (Some id);
+    Buffer.add_substring p idless 7 (n - 7);
+    frame (Buffer.contents p)
+
   (* Every decode path funnels through here: [Wire.Fail] (truncation,
      varint overflow) and [Bad] (tag/phase/id-shape violations) both
      become [Error], and trailing bytes are rejected so a frame is
@@ -896,3 +900,40 @@ module Bin = struct
     | c ->
       Error (`Bad (Printf.sprintf "bad frame magic 0x%02x" (Char.code c)))
 end
+
+(* ------------------------------------------------------------------ *)
+(* Wire bytes                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The canonicalization point: the typed request already collapsed
+   field order, unknown fields and default-phase spellings, so its
+   deterministic id-less encoding is the key. The binary one, because
+   a cache probe pays for it on every request: varints cost far less
+   than printing each syscall number as JSON. *)
+let canonical_key request =
+  let b = Buffer.create 64 in
+  Bin.write_request b { request with rq_id = None };
+  Buffer.contents b
+
+let encode_response codec r =
+  match codec with
+  | Json_lines -> Json.to_string (json_of_response r) ^ "\n"
+  | Binary -> Bin.encode_response r
+
+(* The id is the first field of a JSON response and the first thing
+   after the tag of a binary one, and nothing else depends on it. *)
+let splice_id codec id idless =
+  match id with
+  | None -> idless
+  | Some id ->
+    (match codec with
+     | Binary -> Bin.splice_id id idless
+     | Json_lines ->
+       let id = Json.to_string id in
+       let n = String.length idless in
+       let b = Buffer.create (n + String.length id + 6) in
+       Buffer.add_string b "{\"id\":";
+       Buffer.add_string b id;
+       if idless.[1] <> '}' then Buffer.add_char b ',';
+       Buffer.add_substring b idless 1 (n - 1);
+       Buffer.contents b)

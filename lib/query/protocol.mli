@@ -149,13 +149,25 @@ val json_of_response : response -> Json.t
 val response_of_json : Json.t -> (response, string) result
 (** Inverse of {!json_of_response} (dispatches on the ["op"] field). *)
 
+(** {2 Wire bytes} *)
+
 val canonical_key : request -> string
 (** The one canonicalization point for response caches: the id-less
-    canonical JSON spelling, serialized. Two requests with equal keys
-    get equal responses (every op is a pure function of the index),
-    regardless of field order, unknown fields, or how the default
-    phase was spelled — and the key is the same whether the request
-    arrived as JSON or binary. *)
+    request in the binary codec's payload encoding. Two requests with
+    equal keys get equal responses (every op is a pure function of the
+    index), regardless of field order, unknown fields, or how the
+    default phase was spelled — and the key is the same whether the
+    request arrived as JSON or binary. *)
+
+val encode_response : codec -> response -> string
+(** The complete response as it goes on the wire: one JSON line,
+    newline included, or one binary frame. *)
+
+val splice_id : codec -> Json.t option -> string -> string
+(** [splice_id codec id (encode_response codec { r with rs_id = None })]
+    is [encode_response codec { r with rs_id = id }], without encoding
+    the reply again: a cached id-less answer gets each request's own
+    id back. *)
 
 (** {2 Binary codec} *)
 

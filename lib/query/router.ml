@@ -1,6 +1,8 @@
 (** See the interface for semantics. Threading model: the client side
-    is the {!Frontend} with a pool of plain threads — gather work is
-    IO-bound waiting on shard sockets, not CPU-bound evaluation. Each
+    is the {!Frontend}, whose readers hand every message to a bounded
+    pool of plain threads — gather work is IO-bound waiting on shard
+    sockets, not CPU-bound evaluation, so a reader that waited on it
+    would stall its connection. Each
     shard has one pipelined connection: a mutex serializes writes, a
     reader thread completes waiters by router-assigned id, and a
     receive timeout turns a stalled shard into failed calls rather
@@ -15,7 +17,10 @@
       fail the fresh one;
     - every waiter is eventually completed: by a response, by the
       reader's failure sweep (timeout/EOF/bad frame fail {e all}
-      pending), or by shutdown closing the connection. *)
+      pending), or by shutdown closing the connection;
+    - the pool's job queue is one Mutex/Condition queue; [submit]
+      blocks while it is full, and [Quit] bypasses the bound so a full
+      queue can never strand a worker. *)
 
 module Stage = Lapis_perf.Stage
 module Histogram = Lapis_perf.Histogram
@@ -347,12 +352,76 @@ let call_retry ~timeout sh req =
     call ~timeout sh req
 
 (* ------------------------------------------------------------------ *)
+(* Gather pool                                                         *)
+(* ------------------------------------------------------------------ *)
+
+type job = Job of Frontend.msg * (string -> unit) | Quit
+
+type pool = {
+  jobs : job Queue.t;
+  capacity : int;  (* [max 128 (workers * 32)] *)
+  pm : Mutex.t;
+  not_empty : Condition.t;
+  not_full : Condition.t;
+  mutable threads : Thread.t list;
+}
+
+let new_pool ~workers =
+  {
+    jobs = Queue.create ();
+    capacity = max 128 (workers * 32);
+    pm = Mutex.create ();
+    not_empty = Condition.create ();
+    not_full = Condition.create ();
+    threads = [];
+  }
+
+(* A full queue blocks the connection's reader, so the client is
+   slowed through TCP instead of refused. *)
+let submit pool msg reply =
+  Mutex.lock pool.pm;
+  while Queue.length pool.jobs >= pool.capacity do
+    Condition.wait pool.not_full pool.pm
+  done;
+  Queue.push (Job (msg, reply)) pool.jobs;
+  Condition.signal pool.not_empty;
+  Mutex.unlock pool.pm
+
+let dequeue pool =
+  Mutex.lock pool.pm;
+  while Queue.is_empty pool.jobs do
+    Condition.wait pool.not_empty pool.pm
+  done;
+  let job = Queue.pop pool.jobs in
+  Condition.signal pool.not_full;
+  Mutex.unlock pool.pm;
+  job
+
+let queue_depth pool = Mutex.protect pool.pm (fun () -> Queue.length pool.jobs)
+
+let rec pool_worker pool answer () =
+  match dequeue pool with
+  | Quit -> ()
+  | Job (msg, reply) ->
+    reply (answer msg);
+    pool_worker pool answer ()
+
+(* The queue is FIFO, so a Quit per worker lets the pool finish the
+   backlog first. *)
+let stop_pool pool =
+  Mutex.protect pool.pm (fun () ->
+      List.iter (fun _ -> Queue.push Quit pool.jobs) pool.threads;
+      Condition.broadcast pool.not_empty);
+  List.iter Thread.join pool.threads
+
+(* ------------------------------------------------------------------ *)
 (* Router state                                                        *)
 (* ------------------------------------------------------------------ *)
 
 type t = {
   cfg : config;
   fe : Frontend.t;
+  pool : pool;
   shards : shard array;
   ranges : (shard * (int * int)) array;  (* range order = merge order *)
   sliced : bool;  (* shards serve range-sliced images, not full copies *)
@@ -575,14 +644,15 @@ let forward t req =
 
 let router_gauges t () =
   [
-    ("queue_depth", float_of_int (Frontend.queue_depth t.fe));
-    ("queue_capacity", float_of_int (Frontend.queue_capacity t.fe));
+    ("queue_depth", float_of_int (queue_depth t.pool));
+    ("queue_capacity", float_of_int t.pool.capacity);
     ("workers", float_of_int t.cfg.workers);
     ("connections", float_of_int (Frontend.connections_served t.fe));
     ("shards", float_of_int (Array.length t.shards));
     ("shards_healthy", float_of_int (healthy_count t));
     ("sliced", if t.sliced then 1.0 else 0.0);
   ]
+  @ Frontend.process_gauges ()
   @
   match t.cache with
   | None -> []
@@ -705,10 +775,12 @@ let health_loop t () =
         t.shards
   done
 
-(* Runs once the front end's workers have joined: nothing can start
+(* Runs once the front end's readers have joined, so every message is
+   in the pool: the pool answers them all, and then nothing can start
    a shard call any more, so failing the shard connections completes
    every waiter still parked. *)
 let teardown t health () =
+  stop_pool t.pool;
   Thread.join health;
   Array.iter
     (fun sh ->
@@ -837,11 +909,7 @@ let start ?(config = default) specs =
            {
              Frontend.host = config.host;
              port = config.port;
-             workers = config.workers;
-             spawn =
-               (fun f ->
-                 let th = Thread.create f () in
-                 fun () -> Thread.join th);
+             domains = 1;
              stage = "router";
            }
        with
@@ -851,6 +919,7 @@ let start ?(config = default) specs =
            {
              cfg = config;
              fe;
+             pool = new_pool ~workers:config.workers;
              shards;
              ranges;
              sliced;
@@ -867,6 +936,11 @@ let start ?(config = default) specs =
            }
          in
          let health = Thread.create (health_loop t) () in
-         Frontend.run fe ~answer:(answer t) ~teardown:(teardown t health);
+         t.pool.threads <-
+           List.init (max 1 config.workers) (fun _ ->
+               Thread.create (pool_worker t.pool (answer t)) ());
+         Frontend.run fe
+           ~handle:(submit t.pool)
+           ~teardown:(teardown t health);
          Ok t)
   end

@@ -6,7 +6,7 @@ module Stage = Lapis_perf.Stage
 module Histogram = Lapis_perf.Histogram
 module P = Protocol
 
-type cache = (string, (P.reply, P.err) result) Lru.t
+type cache = (P.codec * string, string) Lru.t
 
 let err kind msg = Error { P.e_kind = kind; e_msg = msg }
 
@@ -81,24 +81,30 @@ let cacheable = function
   | P.Hello _ | P.Stats -> false
   | _ -> true
 
-let handle_request ?cache ?gauges idx (request : P.request) : P.response =
-  let result =
-    match cache with
-    | Some c when cacheable request.P.rq_op ->
-      let key = P.canonical_key request in
-      (match Lru.find c key with
-       | Some r ->
-         Stage.incr "serve:cache-hit";
-         r
-       | None ->
-         let r = handle_req ?gauges idx request.P.rq_op in
-         Lru.add c key r;
-         r)
-    | _ -> handle_req ?gauges idx request.P.rq_op
-  in
-  { P.rs_id = request.P.rq_id; rs_result = result }
+let handle_request ?gauges idx (request : P.request) : P.response =
+  { P.rs_id = request.P.rq_id; rs_result = handle_req ?gauges idx request.P.rq_op }
 
-let handle_line ?cache ?gauges idx (line : string) : string =
+(* A hit is one lookup plus the id spliced back in: no evaluation and
+   no encoding. *)
+let answer ?cache ?gauges idx codec (request : P.request) =
+  match cache with
+  | Some c when cacheable request.P.rq_op ->
+    let key = (codec, P.canonical_key request) in
+    let idless =
+      match Lru.find c key with
+      | Some bytes -> bytes
+      | None ->
+        let bytes =
+          P.encode_response codec
+            { P.rs_id = None; rs_result = handle_req ?gauges idx request.P.rq_op }
+        in
+        Lru.add c key bytes;
+        bytes
+    in
+    P.splice_id codec request.P.rq_id idless
+  | _ -> P.encode_response codec (handle_request ?gauges idx request)
+
+let handle_line ?gauges idx (line : string) : string =
   Stage.incr "serve:requests";
   let response =
     match Json.parse line with
@@ -106,7 +112,7 @@ let handle_line ?cache ?gauges idx (line : string) : string =
     | Ok j ->
       (match P.request_of_json j with
        | Error error -> error
-       | Ok request -> handle_request ?cache ?gauges idx request)
+       | Ok request -> handle_request ?gauges idx request)
   in
   Json.to_string (P.json_of_response response)
 

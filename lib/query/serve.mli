@@ -10,9 +10,10 @@
     [lapis query --stats] prove a snapshot-backed run spent zero time
     in analysis. *)
 
-type cache = (string, (Protocol.reply, Protocol.err) result) Lru.t
-(** Response cache keyed on {!Protocol.canonical_key}. The value is
-    the typed result, so JSON and binary connections share entries. *)
+type cache = (Protocol.codec * string, string) Lru.t
+(** Response cache of encoded replies: keyed on the codec and
+    {!Protocol.canonical_key}, holding the complete wire bytes with no
+    id, so a hit answers without evaluating or encoding. *)
 
 val handle_req :
   ?gauges:(unit -> (string * float) list) ->
@@ -28,24 +29,34 @@ val handle_req :
     appended from the {!Lapis_perf.Histogram} registry. *)
 
 val handle_request :
-  ?cache:cache ->
   ?gauges:(unit -> (string * float) list) ->
   Query.t ->
   Protocol.request ->
   Protocol.response
-(** {!handle_req} plus id correlation and memoization. With [cache],
-    results are memoized under {!Protocol.canonical_key} — except
-    [hello] and [stats], whose answers depend on live state. *)
+(** {!handle_req} plus id correlation. *)
+
+val answer :
+  ?cache:cache ->
+  ?gauges:(unit -> (string * float) list) ->
+  Query.t ->
+  Protocol.codec ->
+  Protocol.request ->
+  string
+(** The wire bytes of {!handle_request}'s response in [codec] (see
+    {!Protocol.encode_response}). With [cache], encoded replies are
+    memoized under the codec and {!Protocol.canonical_key} —
+    except [hello] and [stats], whose answers depend on live state —
+    and a hit splices the request's id into the cached bytes
+    ({!Protocol.splice_id}). *)
 
 val handle_line :
-  ?cache:cache ->
   ?gauges:(unit -> (string * float) list) ->
   Query.t ->
   string ->
   string
 (** Answer one raw JSON request line; total. The returned string is a
-    single-line JSON response without the trailing newline. Parse
-    errors are never cached. Bumps ["serve:requests"]. *)
+    single-line JSON response without the trailing newline. Bumps
+    ["serve:requests"]. *)
 
 val loop : Query.t -> in_channel -> out_channel -> unit
 (** Serve line-delimited JSON until EOF, flushing per response. Blank

@@ -1,9 +1,10 @@
-(** A single serving process: the {!Frontend} with a pool of worker
-    domains, evaluating against the index of the current epoch. The
-    index and the cache are the only structures shared by all
-    workers, and both are safe by construction (immutable / mutex'd);
-    they live in an epoch behind an atomic pointer so {!reload} can
-    swap them without touching connections (pin protocol below). *)
+(** A single serving process: the {!Frontend} with its reader threads
+    spread over the worker domains, each answering its connection's
+    requests against the index of the current epoch. The index and
+    the cache are the only structures shared across connections, and
+    both are safe by construction (immutable / mutex'd); they live in
+    an epoch behind an atomic pointer so {!reload} can swap them
+    without touching connections (pin protocol below). *)
 
 module Stage = Lapis_perf.Stage
 
@@ -22,7 +23,7 @@ let default =
     cache_capacity = 1024;
   }
 
-(* One index + its response cache, immutable once published. Workers
+(* One index + its response cache, immutable once published. Readers
    pin the current epoch for the duration of a single request; reload
    publishes a successor and waits for the old epoch's pin count to
    drain, so an epoch's cache can never answer a request evaluated
@@ -47,8 +48,6 @@ type t = {
 let gauges t ep () =
   let base =
     [
-      ("queue_depth", float_of_int (Frontend.queue_depth t.fe));
-      ("queue_capacity", float_of_int (Frontend.queue_capacity t.fe));
       ("workers", float_of_int t.n_workers);
       ("connections", float_of_int (Frontend.connections_served t.fe));
       ("epoch", float_of_int ep.ep_id);
@@ -58,6 +57,7 @@ let gauges t ep () =
       ("slice_lo", float_of_int (Query.slice_lo ep.ep_idx));
       ("slice_hi", float_of_int (Query.slice_hi ep.ep_idx));
     ]
+    @ Frontend.process_gauges ()
   in
   match ep.ep_cache with
   | None -> base
@@ -88,8 +88,8 @@ let answer t msg =
   let ep = pin_epoch t in
   Fun.protect ~finally:(fun () -> Atomic.decr ep.ep_inflight) @@ fun () ->
   Stage.incr "serve:requests";
-  Frontend.reply
-    (Serve.handle_request ?cache:ep.ep_cache ~gauges:(gauges t ep) ep.ep_idx)
+  Frontend.answer
+    (Serve.answer ?cache:ep.ep_cache ~gauges:(gauges t ep) ep.ep_idx)
     msg
 
 let port t = Frontend.port t.fe
@@ -139,11 +139,7 @@ let start ?(config = default) idx =
       {
         Frontend.host = config.host;
         port = config.port;
-        workers;
-        spawn =
-          (fun f ->
-            let d = Domain.spawn f in
-            fun () -> Domain.join d);
+        domains = workers;
         stage = "serve";
       }
   with
@@ -160,5 +156,7 @@ let start ?(config = default) idx =
         reload_mutex = Mutex.create ();
       }
     in
-    Frontend.run fe ~answer:(answer t) ~teardown:ignore;
+    Frontend.run fe
+      ~handle:(fun msg reply -> reply (answer t msg))
+      ~teardown:ignore;
     Ok t

@@ -10,26 +10,31 @@
     dropped connection; an unframeable binary stream answers one
     error frame and stops reading (binary framing cannot be
     resynchronized). Connections go through the shared {!Frontend}
-    (accept, reader thread per connection, a bounded job queue that
-    blocks readers when full, per-connection response order, graceful
-    drain); what the server adds:
+    (accept, a reader thread per connection, per-connection response
+    order, graceful drain); what the server adds:
 
-    - a fixed pool of worker {e domains} evaluating queries in
+    - requests are answered on the thread that read them, in order,
+      with no queue between reading and evaluating: the hop to a
+      worker cost more than the work it handed over. The reader
+      threads are spread round-robin over [workers] domains, the
+      serving one included, so separate connections evaluate in
       parallel against the shared immutable {!Query.t} (evaluation
-      allocates per-call scratch only, so no locking on the index);
-    - one shared {!Lru} cache memoizing typed results across all
-      clients and both codecs ({!Protocol.canonical_key} is
-      codec-independent).
+      allocates per-call scratch only, so no locking on the index).
+      One pipelined connection is answered one request at a time;
+    - one shared {!Lru} cache of encoded replies across all clients
+      ({!Serve.cache}): keyed on the codec and
+      {!Protocol.canonical_key}, without the id, so a hit is a lookup
+      and an id splice, with no evaluation and no encoding.
 
-    The [stats] op answers with live gauges — queue depth and bound,
-    connections, epoch id, cache entries/hits/misses — plus the
-    per-op latency histograms from the {!Lapis_perf.Histogram}
-    registry; this is the observability surface the fleet router
-    scrapes.
+    The [stats] op answers with live gauges — workers, connections,
+    epoch id, slice range, cache entries/hits/misses, and the
+    process's heap words, top-heap words and VmRSS — plus the per-op
+    latency histograms from the {!Lapis_perf.Histogram} registry;
+    this is the observability surface the fleet router scrapes.
 
     Shutdown ({!stop} or SIGINT wired by the CLI) is graceful: stop
-    accepting, half-close every connection so readers drain what was
-    already sent, finish every queued job, flush, join.
+    accepting, half-close every connection so readers answer what was
+    already sent, flush, join.
 
     {b Hot reload.} The index and the response cache live together in
     an {e epoch} behind an atomic pointer. {!reload} installs a new
@@ -44,9 +49,9 @@ type config = {
   host : string;  (** bind address; default ["127.0.0.1"] *)
   port : int;  (** [0] picks an ephemeral port, see {!port} *)
   workers : int option;
-      (** evaluation domains; [None] means the machine's recommended
-          domain count (at least 1). The {!Frontend} sizes the job
-          queue from it. *)
+      (** domains the connections are spread over, the serving one
+          included; [None] means the machine's recommended domain
+          count minus one (at least 1). *)
   cache_capacity : int;  (** response-cache entries; [0] disables *)
 }
 (** Everything {!start} needs beyond the index. Build one as
@@ -66,8 +71,9 @@ val port : t -> int
 (** The actually bound port — useful with [port = 0] in tests. *)
 
 val stop : t -> unit
-(** Graceful shutdown; blocks until every queued request is answered
-    and every thread and worker domain has been joined. Idempotent. *)
+(** Graceful shutdown; blocks until every request already sent is
+    answered and every thread and domain has been joined.
+    Idempotent. *)
 
 val signal_stop : t -> unit
 (** Async-signal-safe stop request (just an atomic flag store) — this
@@ -89,8 +95,8 @@ val reload : t -> Query.t -> unit
     replaced by a fresh one sized like the original [cache_capacity];
     no entry computed against the old index can ever answer a request
     after the swap. Serialized internally: concurrent reloads apply
-    one at a time. Connections and queued-but-unstarted jobs are
-    unaffected (the latter run against the new epoch). *)
+    one at a time. Connections are unaffected; requests not yet
+    started run against the new epoch. *)
 
 val epoch_id : t -> int
 (** Identifier of the currently serving epoch: 0 at {!start},
