@@ -1100,14 +1100,17 @@ let run_evolve_bench () =
   let base = ref None in
   let rows = ref [] in
   let tot_scratch = ref 0.0 and tot_inc = ref 0.0 in
-  let prev_hits = ref 0 and prev_misses = ref 0 in
+  let prev_hits = ref 0 and prev_misses = ref 0 and tot_reused = ref 0 in
   for r = 0 to !releases do
     let dist = G.evolve ~config ~release:r () in
     let t0 = Unix.gettimeofday () in
     let scratch = Pl.run dist in
     let t1 = Unix.gettimeofday () in
+    let reused0 = Core.Perf.Stage.counter "resolve:reused" in
     let incr = Pl.run ~config:inc_config dist in
     let t2 = Unix.gettimeofday () in
+    let reused = Core.Perf.Stage.counter "resolve:reused" - reused0 in
+    tot_reused := !tot_reused + reused;
     ignore (Core.Query.Engine.index incr.Pl.store);
     let index_s = Unix.gettimeofday () -. t2 in
     let snap_inc = Sn.of_analyzed incr in
@@ -1146,6 +1149,7 @@ let run_evolve_bench () =
           ("inc_s", Json.Num (t2 -. t1));
           ("hits", int dh);
           ("misses", int dm);
+          ("reused", int reused);
           ("full_bytes", int (String.length b_inc));
           ("delta_bytes", int delta_bytes);
           ("index_s", Json.Num index_s);
@@ -1153,8 +1157,9 @@ let run_evolve_bench () =
       :: !rows;
     Printf.printf
       "  release %2d: identical (%d bytes); scratch %.2fs, incremental \
-       %.2fs, index %.3fs, reuse %d/%d%s\n%!"
+       %.2fs, index %.3fs, reuse %d/%d, %d resolutions reused%s\n%!"
       r (String.length b_inc) (t1 -. t0) (t2 -. t1) index_s dh (dh + dm)
+      reused
       (if delta_bytes = 0 then ""
        else Printf.sprintf ", delta %d bytes in %.3fs" delta_bytes delta_s)
   done;
@@ -1175,6 +1180,7 @@ let run_evolve_bench () =
         ("wall_ratio", Json.Num ratio);
         ("cache_hits", int hits);
         ("cache_misses", int misses);
+        ("resolutions_reused", int !tot_reused);
         ( "reuse",
           Json.Num
             (if hits + misses > 0 then

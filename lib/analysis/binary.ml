@@ -35,6 +35,9 @@ type t = {
   fns : (string, fn_info) Hashtbl.t;
   fn_by_addr : string Int_map.t;  (** function start address -> name *)
   rodata_strings : Footprint.t;  (** binary-wide pseudo-file sweep *)
+  payload : Digest.t option;
+      (** digest of the ELF bytes [image] was parsed from, when the
+          caller knows them; {!Resolve.closure_key} needs it *)
 }
 
 (* Extract printable NUL-terminated strings from .rodata. *)
@@ -71,7 +74,7 @@ let string_at (img : Image.t) addr =
 let default_decode_fuel = 2_000_000
 
 let analyze ?(mode = Dataflow) ?dataflow_fuel
-    ?(decode_fuel = default_decode_fuel) (img : Image.t) : t =
+    ?(decode_fuel = default_decode_fuel) ?payload (img : Image.t) : t =
   let fn_by_addr =
     List.fold_left
       (fun m s -> Int_map.add s.Image.sym_addr s.Image.sym_name m)
@@ -231,7 +234,7 @@ let analyze ?(mode = Dataflow) ?dataflow_fuel
              fi_phase = phase;
            })
        df);
-  { image = img; fns; fn_by_addr; rodata_strings = rodata_sweep img }
+  { image = img; fns; fn_by_addr; rodata_strings = rodata_sweep img; payload }
 
 let fn_name_at t addr = Int_map.find_opt addr t.fn_by_addr
 

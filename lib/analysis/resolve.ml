@@ -19,6 +19,8 @@ type stats = {
           "analysis-crash"), filled in by {!Lapis_store.Pipeline.run} *)
 }
 
+type key_state = Keying | Keyed of Digest.t option
+
 type world = {
   libs : (string, Binary.t) Hashtbl.t;  (** soname -> analyzed library *)
   ld_so : Binary.t option;  (** the dynamic linker, if modelled *)
@@ -29,6 +31,11 @@ type world = {
   union_cache : (string, Footprint.t) Hashtbl.t;
       (** pre-unioned import-set footprints, keyed by canonical set *)
   mutable ld_so_fp : Footprint.t option;  (** once-per-world ld.so cache *)
+  lib_keys : (string, key_state) Hashtbl.t;
+      (** soname -> library closure key; [Keying] while its imports
+          are being hashed, which is how an import cycle shows *)
+  import_keys : (string, string option) Hashtbl.t;
+      (** import name -> what a closure key records for it *)
   stats : stats;
 }
 
@@ -53,6 +60,8 @@ let make_world ?ld_so ~libc_family (libs : (string * Binary.t) list) =
     in_progress = Hashtbl.create 64;
     union_cache = Hashtbl.create 256;
     ld_so_fp = None;
+    lib_keys = Hashtbl.create 64;
+    import_keys = Hashtbl.create 4096;
     stats =
       { ld_computations = 0; memo_hits = 0; memo_misses = 0; rejects = [] };
   }
@@ -147,27 +156,31 @@ let ld_so_footprint world =
     world.ld_so_fp <- Some fp;
     fp
 
+(* Is [bin] itself part of the C runtime? Its imports into the runtime
+   then are not libc-API usage. *)
+let libcish world (bin : Binary.t) =
+  match bin.Binary.image.Lapis_elf.Image.soname with
+  | Some soname -> world.libc_family soname
+  | None -> false
+
+(* The soname [bin] is registered under, if it is that world library
+   itself (not just a binary carrying the same soname). *)
+let in_world world (bin : Binary.t) =
+  match bin.Binary.image.Lapis_elf.Image.soname with
+  | Some s ->
+    (match Hashtbl.find_opt world.libs s with
+     | Some b when b == bin -> Some s
+     | _ -> None)
+  | None -> None
+
 (* Full resolved footprint of one analyzed binary. For executables the
    analysis starts at e_entry; for shared libraries at every export.
    The binary-wide pseudo-file sweep is included, and dynamically
    linked executables inherit the dynamic linker's startup work. *)
 let binary_footprint world (bin : Binary.t) : Footprint.t =
-  let soname = bin.Binary.image.Lapis_elf.Image.soname in
-  let libcish =
-    match soname with
-    | Some soname -> world.libc_family soname
-    | None -> false
-  in
-  let in_world =
-    match soname with
-    | Some s ->
-      (match Hashtbl.find_opt world.libs s with
-       | Some b when b == bin -> Some s
-       | _ -> None)
-    | None -> None
-  in
+  let libcish = libcish world bin in
   let from_entries =
-    match in_world with
+    match in_world world bin with
     | Some s ->
       (* A shared library registered in the world: each entry point is
          an export, and its closure is exactly the memoized
@@ -190,6 +203,106 @@ let binary_footprint world (bin : Binary.t) : Footprint.t =
   | Some _ -> Footprint.union fp (ld_so_footprint world)
   | None -> fp
 
+(* Closure keys: a Merkle hash over the library import graph of
+   everything the two functions above and below read about a binary.
+   Resolution is a pure function of those inputs as long as no cycle
+   cut in [export_footprint] is reached, and a cut is only reached from
+   a closure with a library-level import cycle, which has no key.
+
+   A key starts with the payload digest, which fixes the binary's
+   [plt_got] names and their order: a call through a PLT stub only ever
+   resolves to one of them. So the key records, in [plt_got] order,
+   what each name resolves to in this world rather than the names:
+   the key of its defining library, which covers that library's
+   soname and C runtime bit. *)
+
+(* What a key records for import [imp]: "-" when no library defines
+   it, else the key of the library [def_lib] names. [None] when that
+   library has no key. Memoized per world. *)
+let rec import_key world imp =
+  match Hashtbl.find_opt world.import_keys imp with
+  | Some part -> part
+  | None ->
+    let part =
+      match world.def_lib imp with
+      | None -> Some "-"
+      | Some soname -> Option.map (fun k -> "+" ^ k) (lib_key world soname)
+    in
+    Hashtbl.replace world.import_keys imp part;
+    part
+
+(* Appends the part of every import of [bin]; false when one has
+   none. *)
+and add_imports world buf (bin : Binary.t) =
+  List.for_all
+    (fun (imp, _) ->
+      match import_key world imp with
+      | Some part ->
+        Buffer.add_string buf part;
+        true
+      | None -> false)
+    bin.Binary.image.Lapis_elf.Image.plt_got
+
+(* A world library's key, memoized per world: its soname, that
+   soname's C runtime bit, its payload and the parts of its imports.
+   Meeting a soname whose key is still being computed means an import
+   cycle: every library on it (each one reaches the soname met) gets
+   no key, and so does every import it defines. *)
+and lib_key world soname =
+  match Hashtbl.find_opt world.lib_keys soname with
+  | Some (Keyed k) -> k
+  | Some Keying -> None
+  | None ->
+    Hashtbl.replace world.lib_keys soname Keying;
+    let k =
+      let buf = Buffer.create 1024 in
+      Buffer.add_string buf (string_of_int (String.length soname));
+      Buffer.add_char buf ':';
+      Buffer.add_string buf soname;
+      Buffer.add_char buf (if world.libc_family soname then 'L' else 'x');
+      match Hashtbl.find_opt world.libs soname with
+      | None -> Some (Digest.string (Buffer.contents buf))
+      | Some lib ->
+        (match lib.Binary.payload with
+         | None -> None
+         | Some payload ->
+           Buffer.add_string buf payload;
+           if add_imports world buf lib then
+             Some (Digest.string (Buffer.contents buf))
+           else None)
+    in
+    Hashtbl.replace world.lib_keys soname (Keyed k);
+    k
+
+let closure_key world (bin : Binary.t) : Digest.t option =
+  match bin.Binary.payload with
+  | None -> None
+  | Some payload ->
+    let buf = Buffer.create 4096 in
+    Buffer.add_string buf payload;
+    Buffer.add_char buf (if libcish world bin then 'L' else 'x');
+    Buffer.add_char buf (if in_world world bin <> None then 'W' else 'o');
+    let ld_ok =
+      match (bin.Binary.image.Lapis_elf.Image.interp, world.ld_so) with
+      | None, _ ->
+        Buffer.add_char buf 's';
+        true
+      | Some _, None ->
+        Buffer.add_char buf 'n';
+        true
+      | Some _, Some ld ->
+        (* the dynamic linker always resolves as part of the C runtime *)
+        Buffer.add_char buf 'd';
+        (match ld.Binary.payload with
+         | None -> false
+         | Some p ->
+           Buffer.add_string buf p;
+           add_imports world buf ld)
+    in
+    if ld_ok && add_imports world buf bin then
+      Some (Digest.string (Buffer.contents buf))
+    else None
+
 (* Temporal split of a resolved footprint (see {!Phase}): the API sets
    a binary can request during initialization and while serving. The
    split never sharpens the total — any item the attribution walk
@@ -207,12 +320,7 @@ let phased_footprint world (bin : Binary.t) ~(total : Footprint.t) :
     (total_apis, total_apis)
   end
   else begin
-    let soname = bin.Binary.image.Lapis_elf.Image.soname in
-    let libcish =
-      match soname with
-      | Some soname -> world.libc_family soname
-      | None -> false
-    in
+    let libcish = libcish world bin in
     let expand imports =
       (imports_footprint world ~importer_is_libc:libcish imports)
         .Footprint.apis

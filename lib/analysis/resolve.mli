@@ -19,6 +19,10 @@ type stats = {
           {!Lapis_store.Pipeline.run}; empty on a clean corpus *)
 }
 
+type key_state =
+  | Keying  (** the library's imports are being hashed right now *)
+  | Keyed of Digest.t option  (** its key; [None]: no key *)
+
 type world = {
   libs : (string, Binary.t) Hashtbl.t;  (** soname -> analyzed library *)
   ld_so : Binary.t option;  (** the dynamic linker, if modelled *)
@@ -34,6 +38,11 @@ type world = {
           per-import union runs once per distinct set *)
   mutable ld_so_fp : Footprint.t option;
       (** once-per-world cache of the dynamic linker's own footprint *)
+  lib_keys : (string, key_state) Hashtbl.t;
+      (** once-per-world memo of {!closure_key}'s library keys *)
+  import_keys : (string, string option) Hashtbl.t;
+      (** once-per-world memo of what {!closure_key} records for an
+          import name *)
   stats : stats;  (** resolution-effort counters, for tests and tuning *)
 }
 
@@ -57,6 +66,31 @@ val binary_footprint : world -> Binary.t -> Footprint.t
     executables — the dynamic linker's startup work. Imports that
     resolve into the C runtime are additionally recorded as
     {!Lapis_apidb.Api.Libc_sym} usage. *)
+
+val closure_key : world -> Binary.t -> Digest.t option
+(** A key for everything {!binary_footprint} and {!phased_footprint}
+    read about [bin]: a Merkle hash over the library import graph of
+    - its payload digest ({!Binary.t.payload}), which also fixes the
+      import names its analysis can meet (its [plt_got] names);
+    - for each of those names, the soname [def_lib] gives it, that
+      soname's [libc_family] bit and that library's own key (a
+      library's key hashes its soname, that bit, its payload and its
+      imports the same way, recursively);
+    - whether [bin] is part of the C runtime, and whether it is the
+      world's own library under its soname;
+    - the dynamic linker's payload and imports when [bin] has
+      [PT_INTERP].
+
+    Invariant: two binaries with equal keys, in the same world or in
+    two different ones, have identical resolved and phased footprints
+    and bump the ["phase:*"] counters by the same amounts. That is
+    what lets a caller reuse a resolution across releases.
+
+    Cycle rule: [None] when the closure holds a library-level import
+    cycle (a library importing its own export included), and for a
+    binary whose payload is unknown. A cycle is the only place
+    [export_footprint]'s cut makes a memo entry depend on resolution
+    order, so such a binary must be resolved afresh. *)
 
 val phased_footprint :
   world ->

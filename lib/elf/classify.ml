@@ -51,15 +51,18 @@ let interpreter_of_path path =
   | "ruby" -> Ruby
   | other -> Other_interp other
 
+let of_kind = function
+  | Image.Exec_static -> Elf_static
+  | Image.Exec_dynamic -> Elf_dynamic
+  | Image.Shared_lib -> Elf_shared_lib
+
+let has_elf_magic bytes = String.starts_with ~prefix:"\x7fELF" bytes
+
 let classify bytes : t =
   let n = String.length bytes in
-  if n >= 4 && String.sub bytes 0 4 = "\x7fELF" then
+  if has_elf_magic bytes then
     match Reader.parse bytes with
-    | Ok img ->
-      (match img.Image.kind with
-       | Image.Exec_static -> Elf_static
-       | Image.Exec_dynamic -> Elf_dynamic
-       | Image.Shared_lib -> Elf_shared_lib)
+    | Ok img -> of_kind img.Image.kind
     | Error _ -> Data
   else if n >= 2 && bytes.[0] = '#' && bytes.[1] = '!' then begin
     let line =

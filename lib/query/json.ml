@@ -30,10 +30,14 @@ let escape buf s =
       | c -> Buffer.add_char buf c)
     s
 
-(* NaN/infinity are mapped to null by the caller before we get here. *)
+(* NaN/infinity are mapped to null by the caller before we get here.
+   An integer-valued number below 1e15 converts to [int] exactly and
+   prints as [Printf "%.0f"] would, at a fraction of its cost; only
+   -0.0 needs its sign spelled out. *)
 let add_num buf f =
   if Float.is_integer f && Float.abs f < 1e15 then
-    Buffer.add_string buf (Printf.sprintf "%.0f" f)
+    if f = 0.0 && Float.sign_bit f then Buffer.add_string buf "-0"
+    else Buffer.add_string buf (string_of_int (int_of_float f))
   else Buffer.add_string buf (Printf.sprintf "%.17g" f)
 
 let rec add buf = function

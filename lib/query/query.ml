@@ -1002,13 +1002,24 @@ let bins_section t (rows : bin_sets array) =
       pool_rev := enc :: !pool_rev;
       id
   in
+  (* A row's sets are often one physical set (a library's, or a binary
+     with no phase transition): encode it once. Pool ids are handed out
+     serving, init, all, in that order: the pool's order is part of the
+     image bytes. *)
   let triples =
     Array.map
       (fun r ->
-        ( r.bs_digest,
-          pool_id (encode_set r.bs_all),
-          pool_id (encode_set r.bs_init),
-          pool_id (encode_set r.bs_serving) ))
+        let s = pool_id (encode_set r.bs_serving) in
+        let i =
+          if r.bs_init == r.bs_serving then s
+          else pool_id (encode_set r.bs_init)
+        in
+        let a =
+          if r.bs_all == r.bs_init then i
+          else if r.bs_all == r.bs_serving then s
+          else pool_id (encode_set r.bs_all)
+        in
+        (r.bs_digest, a, i, s))
       rows
   in
   let b = Buffer.create 4096 in

@@ -35,21 +35,35 @@ module Reader = Lapis_elf.Reader
    failure becomes its taxonomy kind, and an exception escaping the
    analyzer (the crash-containment net under the fuzz harness) becomes
    "analysis-crash" — either way the caller counts the binary and
-   skips it instead of the whole run dying. *)
-let analyze_elf ~mode ~decode_fuel bytes : (Binary.t, string) result =
+   skips it instead of the whole run dying. The payload's class comes
+   from the same parse, so no ELF is parsed just to classify it: bytes
+   that fail to parse are [Data], as {!Classify.classify} has it. *)
+let analyze_elf ~mode ~decode_fuel ~payload bytes :
+    Classify.t * (Binary.t, string) result =
   match Stage.time "elf-parse" (fun () -> Reader.parse bytes) with
   | Ok img ->
-    (try Ok (Binary.analyze ~mode ?decode_fuel img)
-     with e ->
-       Log.err (fun m ->
-           m "analysis crash (quarantined): %s" (Printexc.to_string e));
-       Error "analysis-crash")
+    ( Classify.of_kind img.Lapis_elf.Image.kind,
+      try Ok (Binary.analyze ~mode ?decode_fuel ~payload img)
+      with e ->
+        Log.err (fun m ->
+            m "analysis crash (quarantined): %s" (Printexc.to_string e));
+        Error "analysis-crash" )
   | Error e ->
     Log.warn (fun m ->
         m "unparseable ELF (%s): %a"
           Reader.(kind_name (kind e))
           Reader.pp_error e);
-    Error Reader.(kind_name (kind e))
+    (Classify.Data, Error Reader.(kind_name (kind e)))
+
+(* A binary's resolution as the store rows carry it, with the phase
+   counter increments computing it made, so a reuse can replay them. *)
+type resolved = {
+  rs_total : Footprint.t;
+  rs_init : Api.Set.t;
+  rs_serving : Api.Set.t;
+  rs_no_transition : int;  (** ["phase:no-transition"] increment *)
+  rs_widened : int;  (** ["phase:widened"] increment *)
+}
 
 (* The content-hash analysis cache, exposed as an opaque handle so a
    caller re-analyzing successive releases of an evolving world can
@@ -60,15 +74,20 @@ let analyze_elf ~mode ~decode_fuel bytes : (Binary.t, string) result =
    from-scratch run (the evolve bench asserts this at every epoch).
    Classification is a pure function of the bytes too: every file's
    class (script and data files included) is memoized next to the
-   results, so a file a release leaves untouched costs one digest and
-   table lookups, never an ELF parse. *)
+   results, and a digest has a result only once it has a class, so a
+   file a release leaves untouched costs one digest and table lookups,
+   never an ELF parse. Resolution is a pure function of the closure
+   key ({!Resolve.closure_key}), so a binary whose library closure a
+   release leaves untouched is not resolved again either. *)
 type analysis_cache = {
   results : (Digest.t, (Binary.t, string) result) Hashtbl.t;
   classes : (Digest.t, Classify.t) Hashtbl.t;
+  footprints : (Digest.t, resolved) Hashtbl.t;  (** by closure key *)
 }
 
 let new_cache () : analysis_cache =
-  { results = Hashtbl.create 1024; classes = Hashtbl.create 1024 }
+  { results = Hashtbl.create 1024; classes = Hashtbl.create 1024;
+    footprints = Hashtbl.create 1024 }
 
 let cache_size (c : analysis_cache) = Hashtbl.length c.results
 
@@ -91,10 +110,14 @@ let default =
   { mode = Binary.Dataflow; cache = true; domains = None; decode_fuel = None;
     shared_cache = None }
 
+(* Where a package file's class (and, for an ELF binary, its
+   analysis) comes from: this run's parse-and-analyze pass, or the
+   cache and the class memo. *)
+type slot = Job of int | Cached of Classify.t
+
 let run ?(config = default) (dist : P.distribution) : analyzed =
   let { mode; cache; domains; decode_fuel; shared_cache } = config in
   let cache = cache || shared_cache <> None in
-  let analyze_elf bytes = analyze_elf ~mode ~decode_fuel bytes in
   (* Per-error-kind quarantine counters: every binary the run skipped
      is counted here (and mirrored into the Stage counters, so the
      bench JSON carries them), never silently dropped. Recording
@@ -114,7 +137,7 @@ let run ?(config = default) (dist : P.distribution) : analyzed =
      [shared_cache], the same table additionally carries results from
      previous releases of an evolving world, and only the binaries
      whose bytes actually changed are re-analyzed. *)
-  let { results = analysis_of; classes } =
+  let { results = analysis_of; classes; footprints } =
     match shared_cache with Some c -> c | None -> new_cache ()
   in
   (* Incremental accounting (shared cache only): each distinct payload
@@ -132,111 +155,186 @@ let run ?(config = default) (dist : P.distribution) : analyzed =
       if Hashtbl.mem analysis_of d then incr inc_hits else incr inc_misses
     end
   in
-  (* Analyze one world library through the cache: a payload analyzed
-     by a previous release (or earlier in this run) is served from the
-     table; errors are cached too, so a bad payload is diagnosed once
-     but still counted per use site. *)
-  let analyze_lib d bytes =
-    if not cache then analyze_elf bytes
-    else begin
-      note_payload d;
-      match Hashtbl.find_opt analysis_of d with
-      | Some r -> r
-      | None ->
-        let r = analyze_elf bytes in
-        Hashtbl.replace analysis_of d r;
-        r
-    end
+  (* 1. Collect the jobs of one parse-and-analyze pass: every
+     world-library payload and every package file with the ELF magic
+     the cache cannot answer for. With the cache a payload is one job
+     however often it occurs (first-seen order); without it every
+     occurrence is a job of its own. Other files are classified from
+     their first bytes, through the class memo. *)
+  let jobs = ref [] and n_jobs = ref 0 in
+  let job_of : (Digest.t, int) Hashtbl.t = Hashtbl.create 256 in
+  let add_job d bytes =
+    match if cache then Hashtbl.find_opt job_of d else None with
+    | Some i -> i
+    | None ->
+      let i = !n_jobs in
+      incr n_jobs;
+      Hashtbl.replace job_of d i;
+      jobs := (d, bytes) :: !jobs;
+      i
   in
-  (* 1. analyze the shared-library world *)
-  let runtime_sonames = List.map fst dist.P.runtime in
-  let runtime_bins =
-    List.filter_map
-      (fun (soname, bytes) ->
-        let d = Digest.string bytes in
-        match analyze_lib d bytes with
-        | Ok b -> Some (soname, d, b)
-        | Error kind ->
-          record_reject kind;
-          None)
-      dist.P.runtime
+  let lib_job bytes =
+    let d = Digest.string bytes in
+    if cache then note_payload d;
+    if cache && Hashtbl.mem analysis_of d then (d, None)
+    else (d, Some (add_job d bytes))
   in
-  let app_lib_bins =
-    List.filter_map
-      (fun (soname, pkg, bytes) ->
-        match analyze_lib (Digest.string bytes) bytes with
-        | Ok b -> Some (soname, pkg, b)
-        | Error kind ->
-          record_reject kind;
-          None)
+  let runtime_jobs =
+    List.map (fun (soname, bytes) -> (soname, lib_job bytes)) dist.P.runtime
+  in
+  let app_lib_jobs =
+    List.map
+      (fun (soname, pkg, bytes) -> (soname, pkg, lib_job bytes))
       dist.P.shared_libs
   in
-  let runtime_world = List.map (fun (s, _, b) -> (s, b)) runtime_bins in
-  let ld_so =
-    List.assoc_opt "ld-linux-x86-64.so.2" runtime_world
-  in
-  let world =
-    Resolve.make_world ?ld_so
-      ~libc_family:(fun soname -> List.mem soname runtime_sonames)
-      (runtime_world @ List.map (fun (s, _, b) -> (s, b)) app_lib_bins)
-  in
-  (* Every package file, digested and classified once: the class comes
-     from the digest-keyed memo, so a payload classified by an earlier
-     release (or earlier in this run) is never parsed again for it.
-     Steps 2 and 3 and every binary row reuse both values. *)
-  let classify d bytes =
-    match Hashtbl.find_opt classes d with
-    | Some c -> c
+  let file_slot d bytes =
+    match if cache then Hashtbl.find_opt classes d else None with
+    | Some c -> Cached c
     | None ->
-      let c = Classify.classify bytes in
-      Hashtbl.replace classes d c;
-      c
+      if Classify.has_elf_magic bytes then Job (add_job d bytes)
+      else begin
+        let c = Classify.classify bytes in
+        Hashtbl.replace classes d c;
+        Cached c
+      end
   in
-  let files =
+  let file_slots =
     List.map
       (fun (pkg : P.t) ->
         ( pkg,
           List.map
             (fun (f : P.file) ->
               let d = Digest.string f.P.bytes in
-              (f, d, classify d f.P.bytes))
+              (f, d, file_slot d f.P.bytes))
             pkg.P.files ))
       dist.P.packages
   in
-  (* 2. per-binary analysis: collect the distinct ELF payloads not
-     already analyzed for the world (first-seen order), analyze them —
-     fanned out across domains when the host has more than one — and
-     serve the aggregation loop from the digest table. *)
-  let analysis_for =
-    if not cache then fun (f : P.file) _ -> analyze_elf f.P.bytes
-    else begin
-      let pending = ref [] in
-      List.iter
-        (fun (_, pkg_files) ->
-          List.iter
-            (fun ((f : P.file), d, cls) ->
-              match cls with
-              | Classify.Elf_static | Classify.Elf_dynamic
-              | Classify.Elf_shared_lib ->
-                note_payload d;
-                if not (Hashtbl.mem analysis_of d) then begin
-                  (* placeholder marks the digest as claimed; replaced
-                     with the real result after the parallel map *)
-                  Hashtbl.replace analysis_of d (Error "claimed");
-                  pending := (d, f.P.bytes) :: !pending
-                end
-              | Classify.Script _ | Classify.Data -> ())
-            pkg_files)
-        files;
-      let pending = List.rev !pending in
-      List.iter2
-        (fun (d, _) r -> Hashtbl.replace analysis_of d r)
-        pending
-        (Lapis_perf.Parmap.map ?domains
-           (fun (_, bytes) -> analyze_elf bytes)
-           pending);
-      fun _ d -> Hashtbl.find analysis_of d
-    end
+  (* 2. The pass, fanned out across domains when the host has more
+     than one; then each payload's class and result go into the cache
+     (a world library's result whatever its class, a package file's
+     only when it is an ELF binary). *)
+  let done_ =
+    Array.of_list
+      (Lapis_perf.Parmap.map ?domains
+         (fun (d, bytes) -> analyze_elf ~mode ~decode_fuel ~payload:d bytes)
+         (List.rev !jobs))
+  in
+  let is_elf = function
+    | Classify.Elf_static | Classify.Elf_dynamic | Classify.Elf_shared_lib ->
+      true
+    | Classify.Script _ | Classify.Data -> false
+  in
+  let lib_result (d, job) =
+    match job with
+    | None -> Hashtbl.find analysis_of d
+    | Some i ->
+      let cls, r = done_.(i) in
+      if cache then begin
+        Hashtbl.replace classes d cls;
+        Hashtbl.replace analysis_of d r
+      end;
+      r
+  in
+  let runtime_bins =
+    List.filter_map
+      (fun (soname, dj) ->
+        match lib_result dj with
+        | Ok b -> Some (soname, fst dj, b)
+        | Error kind ->
+          record_reject kind;
+          None)
+      runtime_jobs
+  in
+  let app_lib_bins =
+    List.filter_map
+      (fun (soname, pkg, dj) ->
+        match lib_result dj with
+        | Ok b -> Some (soname, pkg, b)
+        | Error kind ->
+          record_reject kind;
+          None)
+      app_lib_jobs
+  in
+  let files =
+    List.map
+      (fun (pkg, slots) ->
+        ( pkg,
+          List.map
+            (fun ((f : P.file), d, slot) ->
+              let cls =
+                match slot with
+                | Job i ->
+                  let cls, r = done_.(i) in
+                  if cache then begin
+                    Hashtbl.replace classes d cls;
+                    if is_elf cls then begin
+                      note_payload d;
+                      Hashtbl.replace analysis_of d r
+                    end
+                  end;
+                  cls
+                | Cached cls ->
+                  if is_elf cls then note_payload d;
+                  cls
+              in
+              (f, d, cls, slot))
+            slots ))
+      file_slots
+  in
+  let runtime_world = List.map (fun (s, _, b) -> (s, b)) runtime_bins in
+  let ld_so =
+    List.assoc_opt "ld-linux-x86-64.so.2" runtime_world
+  in
+  let runtime_sonames = List.map fst dist.P.runtime in
+  let world =
+    Resolve.make_world ?ld_so
+      ~libc_family:(fun soname -> List.mem soname runtime_sonames)
+      (runtime_world @ List.map (fun (s, _, b) -> (s, b)) app_lib_bins)
+  in
+  (* A binary's resolution, through the closure-key table when caching:
+     a binary whose closure key an earlier release (or an earlier row)
+     already resolved reuses that resolution and replays its phase
+     counters, so rows and counters match a scratch run. Without a key
+     (an import cycle in the closure) it is resolved afresh. *)
+  let reused = ref 0 in
+  let resolve bin ~phased =
+    let compute () =
+      let total =
+        Stage.time "resolve" (fun () -> Resolve.binary_footprint world bin)
+      in
+      if not phased then
+        (* a library has no phase of its own: its items are attributed
+           by the phase of its callers *)
+        { rs_total = total; rs_init = total.Footprint.apis;
+          rs_serving = total.Footprint.apis; rs_no_transition = 0;
+          rs_widened = 0 }
+      else begin
+        let nt0 = Stage.counter "phase:no-transition"
+        and w0 = Stage.counter "phase:widened" in
+        let init, serving =
+          Stage.time "phase:attribute" (fun () ->
+              Resolve.phased_footprint world bin ~total)
+        in
+        { rs_total = total; rs_init = init; rs_serving = serving;
+          rs_no_transition = Stage.counter "phase:no-transition" - nt0;
+          rs_widened = Stage.counter "phase:widened" - w0 }
+      end
+    in
+    match if cache then Resolve.closure_key world bin else None with
+    | None -> compute ()
+    | Some key ->
+      (match Hashtbl.find_opt footprints key with
+       | Some rs ->
+         incr reused;
+         if rs.rs_no_transition > 0 then
+           Stage.incr ~by:rs.rs_no_transition "phase:no-transition";
+         if rs.rs_widened > 0 then
+           Stage.incr ~by:rs.rs_widened "phase:widened";
+         rs
+       | None ->
+         let rs = compute () in
+         Hashtbl.replace footprints key rs;
+         rs)
   in
   (* 3. per-package aggregation *)
   let bins = ref [] in
@@ -252,45 +350,28 @@ let run ?(config = default) (dist : P.distribution) : analyzed =
       let apis_init = ref Api.Set.empty in
       let apis_serving = ref Api.Set.empty in
       List.iter
-        (fun ((f : P.file), d, cls) ->
+        (fun ((f : P.file), d, cls, slot) ->
           match cls with
-          | Classify.Elf_static | Classify.Elf_dynamic ->
-            (match analysis_for f d with
-             | Error kind -> record_reject kind
-             | Ok bin ->
-               let resolved =
-                 Stage.time "resolve" (fun () ->
-                     Resolve.binary_footprint world bin)
-               in
-               let init, serving =
-                 Stage.time "phase:attribute" (fun () ->
-                     Resolve.phased_footprint world bin ~total:resolved)
-               in
-               apis := Api.Set.union !apis resolved.Footprint.apis;
-               apis_init := Api.Set.union !apis_init init;
-               apis_serving := Api.Set.union !apis_serving serving;
-               bins :=
-                 {
-                   Store.br_path = f.P.path;
-                   br_package = pkg.P.name;
-                   br_class = cls;
-                   br_digest = d;
-                   br_direct = Resolve.direct_footprint bin;
-                   br_resolved = resolved;
-                   br_init = init;
-                   br_serving = serving;
-                 }
-                 :: !bins)
+          | Classify.Elf_static | Classify.Elf_dynamic
           | Classify.Elf_shared_lib ->
-            (* analyzed for attribution, excluded from the package
-               footprint (Section 2: union over standalone executables) *)
-            (match analysis_for f d with
+            let analysis =
+              match slot with
+              | Job i -> snd done_.(i)
+              | Cached _ -> Hashtbl.find analysis_of d
+            in
+            (match analysis with
              | Error kind -> record_reject kind
              | Ok bin ->
-               let resolved =
-                 Stage.time "resolve" (fun () ->
-                     Resolve.binary_footprint world bin)
-               in
+               (* a shared library is analyzed for attribution only: the
+                  package footprint is a union over standalone
+                  executables (Section 2) *)
+               let exe = cls <> Classify.Elf_shared_lib in
+               let rs = resolve bin ~phased:exe in
+               if exe then begin
+                 apis := Api.Set.union !apis rs.rs_total.Footprint.apis;
+                 apis_init := Api.Set.union !apis_init rs.rs_init;
+                 apis_serving := Api.Set.union !apis_serving rs.rs_serving
+               end;
                bins :=
                  {
                    Store.br_path = f.P.path;
@@ -298,11 +379,9 @@ let run ?(config = default) (dist : P.distribution) : analyzed =
                    br_class = cls;
                    br_digest = d;
                    br_direct = Resolve.direct_footprint bin;
-                   br_resolved = resolved;
-                   (* a library has no phase of its own: its items are
-                      attributed by the phase of its callers *)
-                   br_init = resolved.Footprint.apis;
-                   br_serving = resolved.Footprint.apis;
+                   br_resolved = rs.rs_total;
+                   br_init = rs.rs_init;
+                   br_serving = rs.rs_serving;
                  }
                  :: !bins)
           | Classify.Script interp ->
@@ -334,9 +413,7 @@ let run ?(config = default) (dist : P.distribution) : analyzed =
             (* a file with the ELF magic that the classifier demoted
                to Data is a malformed binary: count it by error kind
                instead of letting it vanish from the run *)
-            if String.length f.P.bytes >= 4
-               && String.sub f.P.bytes 0 4 = "\x7fELF"
-            then begin
+            if Classify.has_elf_magic f.P.bytes then begin
               match Reader.parse f.P.bytes with
               | Error e -> record_reject Reader.(kind_name (kind e))
               | Ok _ -> ()
@@ -419,6 +496,7 @@ let run ?(config = default) (dist : P.distribution) : analyzed =
     Stage.incr "incremental:hits" ~by:!inc_hits;
     Stage.incr "incremental:misses" ~by:!inc_misses
   end;
+  Stage.incr "resolve:reused" ~by:!reused;
   Stage.incr "resolve:memo-hits" ~by:world.Resolve.stats.Resolve.memo_hits;
   Stage.incr "resolve:memo-misses"
     ~by:world.Resolve.stats.Resolve.memo_misses;

@@ -13,22 +13,34 @@ type analyzed = {
 }
 
 type analysis_cache
-(** Content-hash analysis cache: per-binary analysis results keyed by
-    a digest of the ELF bytes, and next to them the classification of
-    every file payload (ELF, script or data) keyed the same way. Hand
-    the same cache to successive {!run}s over releases of an evolving
-    world and only the binaries whose bytes changed are re-analyzed;
-    because analysis and classification are pure functions of the
-    bytes, the incremental result is bit-identical to a from-scratch
-    run. A file whose payload the cache has seen costs one digest and
-    its table lookups: it is neither parsed nor analyzed again. *)
+(** Content-hash analysis cache, three tables:
+    - per-binary analysis results, keyed by a digest of the ELF bytes;
+    - the classification of every file payload (ELF, script or data),
+      keyed the same way. An ELF payload's class comes from the same
+      parse as its analysis, so no file is parsed just to classify it;
+    - each binary's resolution (resolved footprint, init and serving
+      sets, and the ["phase:*"] counter increments it made), keyed by
+      its {!Lapis_analysis.Resolve.closure_key}.
+
+    Hand the same cache to successive {!run}s over releases of an
+    evolving world and only the binaries whose bytes changed are
+    re-analyzed, and only those whose library closure changed (their
+    own bytes, a library they reach, or the dynamic linker) are
+    resolved again; a reused resolution replays its phase counters.
+    Analysis and classification are pure functions of the bytes and
+    resolution is a pure function of the closure key, so the
+    incremental result is bit-identical to a from-scratch run. A binary
+    whose closure holds a library import cycle has no key and is
+    resolved every run. No table evicts: a cache grows with every
+    distinct payload and closure it has seen. *)
 
 val new_cache : unit -> analysis_cache
 (** A fresh, empty cache. *)
 
 val cache_size : analysis_cache -> int
 (** Distinct ELF payloads the cache holds analysis results for;
-    memoized classifications of scripts and data files do not count. *)
+    memoized classifications of scripts and data files, and cached
+    resolutions, do not count. *)
 
 type config = {
   mode : Lapis_analysis.Binary.mode;
@@ -38,14 +50,19 @@ type config = {
   cache : bool;
       (** key per-binary analysis by a digest of the ELF bytes, so
           byte-identical inputs are analyzed once and package-shipped
-          copies of world libraries reuse the world's analysis. The
-          resulting footprints are identical to an uncached run
-          (checked by the test suite). *)
+          copies of world libraries reuse the world's analysis, and
+          reuse a resolution for binaries with equal closure keys
+          (counted under ["resolve:reused"]). The resulting footprints
+          are identical to an uncached run (checked by the test
+          suite): with [false] every file occurrence is parsed,
+          analyzed and resolved on its own, the uncached reference. *)
   domains : int option;
       (** cap on the domains used for the per-binary analysis fan-out
           ([None]: the runtime's recommended count; the loop degrades
-          to sequential on single-core hosts). Aggregation and
-          cross-library resolution always run sequentially. *)
+          to sequential on single-core hosts). The world's libraries
+          and the package files share one parse-and-analyze pass.
+          Aggregation and cross-library resolution always run
+          sequentially. *)
   decode_fuel : int option;
       (** per-binary instruction-decode budget ([None]: the
           {!Lapis_analysis.Binary} default) *)

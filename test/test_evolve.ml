@@ -126,6 +126,188 @@ let test_output_goldens () =
     ~snap_md5:"e22079bc5b7b8a4c6b1ce16155ecf5d4" ~image:709232
     ~image_md5:"ad7a08428f626462247af97065ca567f"
 
+(* --- resolution reuse across releases ------------------------------ *)
+
+let reused () = Stage.counter "resolve:reused"
+
+let snapshot_bytes a = Snapshot.to_string (Snapshot.of_analyzed a)
+
+let test_reuse_history () =
+  (* six releases through one shared cache: every release's snapshot
+     is byte-identical to a from-scratch run, and the warm releases
+     reuse resolutions instead of redoing them *)
+  let cache = Pipeline.new_cache () in
+  let pc = { Pipeline.default with shared_cache = Some cache } in
+  let warm_reused = ref 0 in
+  for r = 0 to 5 do
+    let dist = G.evolve ~config ~release:r () in
+    let before = reused () in
+    let inc = Pipeline.run ~config:pc dist in
+    if r > 0 then warm_reused := !warm_reused + (reused () - before);
+    Alcotest.(check string)
+      (Printf.sprintf "release %d: incremental == scratch" r)
+      (snapshot_bytes (Pipeline.run dist))
+      (snapshot_bytes inc)
+  done;
+  if !warm_reused = 0 then Alcotest.fail "warm releases reused no resolution"
+
+(* A hand-built world: the C runtime (a dynamic linker and a libc), an
+   application library libfoo whose export calls into libc, and three
+   packages. "foo" ships libfoo itself and an executable importing it,
+   "cat" an executable importing libc only, and "stat" a static
+   executable. *)
+module Prog = Core.Asm.Program
+
+let elf prog = Core.Elf.Writer.write (Core.Asm.Builder.assemble prog)
+
+let ld_so ~syscalls =
+  elf
+    (Prog.shared_lib ~soname:"ld-linux-x86-64.so.2" ~needed:[]
+       [ Prog.func "_dl_start"
+           (List.map (fun n -> Prog.Direct_syscall n) syscalls) ])
+
+let libc =
+  elf
+    (Prog.shared_lib ~soname:"libc.so.6" ~needed:[]
+       [ Prog.func "write_wrap" [ Prog.Direct_syscall 1 ];
+         Prog.func "exit_wrap" [ Prog.Direct_syscall 231 ] ])
+
+let libfoo ~syscalls =
+  elf
+    (Prog.shared_lib ~soname:"libfoo.so.1" ~needed:[ "libc.so.6" ]
+       [ Prog.func "foo_log"
+           (Prog.Call_import "write_wrap"
+           :: List.map (fun n -> Prog.Direct_syscall n) syscalls) ])
+
+let exe ?interp ~needed body =
+  elf (Prog.executable ?interp ~entry_fn:"_start" ~needed
+         [ Prog.func "_start" body ])
+
+let hand_world ?(runtime = []) ~shared_libs packages : P.distribution =
+  let packages =
+    List.map
+      (fun (name, files) ->
+        { P.name; section = "misc"; installs = 10; deps = []; essential = false;
+          files =
+            List.map
+              (fun (path, kind, bytes) -> { P.path; kind; bytes })
+              files })
+      packages
+  in
+  { P.packages; runtime; shared_libs;
+    total_installs = 10 * List.length packages;
+    truth = Hashtbl.create 1; phase_truth = Hashtbl.create 1; seed = 0;
+    n_requested = List.length packages; release = 0 }
+
+let small_world ~ld ~foo =
+  let foo_lib = libfoo ~syscalls:foo in
+  hand_world
+    ~runtime:[ ("ld-linux-x86-64.so.2", ld_so ~syscalls:ld); ("libc.so.6", libc) ]
+    ~shared_libs:[ ("libfoo.so.1", "foo", foo_lib) ]
+    [ ( "foo",
+        [ ("/usr/lib/libfoo.so.1", P.Library, foo_lib);
+          ( "/usr/bin/foo", P.Executable,
+            exe ~needed:[ "libfoo.so.1" ] [ Prog.Call_import "foo_log" ] ) ] );
+      ( "cat",
+        [ ( "/usr/bin/cat", P.Executable,
+            exe ~needed:[ "libc.so.6" ] [ Prog.Call_import "write_wrap" ] ) ] );
+      ( "stat",
+        [ ( "/usr/bin/stat", P.Executable,
+            exe ~interp:None ~needed:[] [ Prog.Direct_syscall 60 ] ) ] ) ]
+
+(* Run [base] then [next] through one shared cache; [next] must match a
+   scratch run byte for byte, and the count of reused resolutions is
+   returned. *)
+let reuse_after ~base next =
+  let pc = { Pipeline.default with shared_cache = Some (Pipeline.new_cache ()) } in
+  ignore (Pipeline.run ~config:pc base);
+  let before = reused () in
+  let inc = Pipeline.run ~config:pc next in
+  let n = reused () - before in
+  Alcotest.(check string) "incremental == scratch"
+    (snapshot_bytes (Pipeline.run next))
+    (snapshot_bytes inc);
+  (inc, n)
+
+let syscalls_of (a : Pipeline.analyzed) path =
+  match
+    List.find_opt (fun (b : Store.bin_row) -> b.Store.br_path = path)
+      a.Pipeline.store.Store.bins
+  with
+  | Some b -> Core.Analysis.Footprint.syscalls b.Store.br_resolved
+  | None -> Alcotest.failf "no row for %s" path
+
+let test_library_change_recomputes_importers () =
+  let base = small_world ~ld:[ 9 ] ~foo:[] in
+  (* nothing changed: all four rows are reused *)
+  let _, n = reuse_after ~base base in
+  Alcotest.(check int) "an unchanged release reuses every row" 4 n;
+  (* only libfoo changed: the library row and its importer are
+     resolved again, the libc-only and static executables are not *)
+  let inc, n = reuse_after ~base (small_world ~ld:[ 9 ] ~foo:[ 2 ]) in
+  Alcotest.(check int) "only rows outside libfoo's importers reused" 2 n;
+  Alcotest.(check (list int)) "the importer sees the library's new syscall"
+    [ 1; 2; 9 ]
+    (syscalls_of inc "/usr/bin/foo");
+  (* only the dynamic linker changed: every dynamically linked
+     executable is resolved again, the library and the static
+     executable are not *)
+  let inc, n = reuse_after ~base (small_world ~ld:[ 9; 10 ] ~foo:[]) in
+  Alcotest.(check int) "only rows without PT_INTERP reused" 2 n;
+  Alcotest.(check (list int)) "a dynamic executable sees the new ld.so"
+    [ 1; 9; 10 ]
+    (syscalls_of inc "/usr/bin/cat")
+
+let test_import_cycle_not_reused () =
+  (* liba and libb import each other's exports, and libc imports its
+     own export: no binary whose closure holds either cycle has a key,
+     so none is reused; the static executable still is *)
+  let liba =
+    elf
+      (Prog.shared_lib ~soname:"liba.so.1" ~needed:[ "libb.so.1" ]
+         [ Prog.func "a_fn" [ Prog.Direct_syscall 0; Prog.Call_import "b_fn" ] ])
+  in
+  let libb =
+    elf
+      (Prog.shared_lib ~soname:"libb.so.1" ~needed:[ "liba.so.1" ]
+         [ Prog.func "b_fn" [ Prog.Direct_syscall 1; Prog.Call_import "a_fn" ] ])
+  in
+  let selfish =
+    elf
+      (Prog.shared_lib ~soname:"libself.so.1" ~needed:[]
+         [ Prog.func "self_fn"
+             [ Prog.Direct_syscall 3; Prog.Call_import "self_fn" ] ])
+  in
+  let world =
+    hand_world
+      ~shared_libs:
+        [ ("liba.so.1", "a", liba); ("libb.so.1", "b", libb);
+          ("libself.so.1", "self", selfish) ]
+      [ ( "a",
+          [ ("/usr/lib/liba.so.1", P.Library, liba);
+            ( "/usr/bin/a", P.Executable,
+              exe ~interp:None ~needed:[ "liba.so.1" ]
+                [ Prog.Call_import "a_fn" ] ) ] );
+        ("b", [ ("/usr/lib/libb.so.1", P.Library, libb) ]);
+        ( "self",
+          [ ( "/usr/bin/self", P.Executable,
+              exe ~interp:None ~needed:[ "libself.so.1" ]
+                [ Prog.Call_import "self_fn" ] ) ] );
+        ( "stat",
+          [ ( "/usr/bin/stat", P.Executable,
+              exe ~interp:None ~needed:[] [ Prog.Direct_syscall 60 ] ) ] ) ]
+  in
+  let inc, n = reuse_after ~base:world world in
+  Alcotest.(check int) "only the acyclic static executable is reused" 1 n;
+  Alcotest.(check (list int)) "the cycle still resolves both libraries"
+    [ 0; 1 ]
+    (syscalls_of inc "/usr/bin/a");
+  let module Resolve = Core.Analysis.Resolve in
+  Alcotest.(check bool) "a library on the cycle has no key" true
+    (Resolve.closure_key inc.Pipeline.world
+       (Hashtbl.find inc.Pipeline.world.Resolve.libs "libb.so.1")
+    = None)
+
 (* --- delta snapshots ---------------------------------------------- *)
 
 let snap_of release =
@@ -397,7 +579,13 @@ let () =
       ( "incremental",
         [ Alcotest.test_case "bit-identical + counters" `Quick
             test_incremental_bit_identical;
-          Alcotest.test_case "output goldens" `Quick test_output_goldens ] );
+          Alcotest.test_case "output goldens" `Quick test_output_goldens;
+          Alcotest.test_case "six releases reuse, == scratch" `Quick
+            test_reuse_history;
+          Alcotest.test_case "a library change recomputes its importers"
+            `Quick test_library_change_recomputes_importers;
+          Alcotest.test_case "an import cycle is never reused" `Quick
+            test_import_cycle_not_reused ] );
       ( "delta",
         [ Alcotest.test_case "round-trip" `Quick test_delta_roundtrip;
           Alcotest.test_case "small" `Quick test_delta_is_small;

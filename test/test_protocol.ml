@@ -513,6 +513,23 @@ let prop_histogram_bounds =
           v >= lo && v <= hi)
         [ 0.0; 0.25; 0.5; 0.9; 0.95; 0.99; 1.0 ])
 
+(* The number printer's integer fast path must print exactly what
+   [Printf "%.0f"] printed: integer-valued floats from both signs up to
+   the 1e15 cut, with the edges and -0.0 drawn often. *)
+let gen_integral =
+  QCheck2.Gen.(
+    let edge = 1e15 -. 1.0 in
+    oneof
+      [ map Float.of_int (int_range (-1000) 1000);
+        map Float.round (float_range (-.edge) edge);
+        oneofl [ 0.0; -0.0; edge; -.edge; 1.0; -1.0; 2e14; -2e14 ] ])
+
+let prop_integral_numbers_print_as_printf =
+  QCheck2.Test.make ~count:5000
+    ~name:"integer-valued numbers print as Printf %.0f did"
+    ~print:(Printf.sprintf "%h") gen_integral (fun f ->
+      Json.to_string (Json.Num f) = Printf.sprintf "%.0f" f)
+
 let () =
   Alcotest.run "protocol"
     [ ( "version",
@@ -525,7 +542,8 @@ let () =
             test_json_response_roundtrip;
           Alcotest.test_case "error kinds" `Quick test_parse_error_goldens;
           Alcotest.test_case "cross-codec cache key" `Quick
-            test_cross_codec_key ] );
+            test_cross_codec_key;
+          QCheck_alcotest.to_alcotest prop_integral_numbers_print_as_printf ] );
       ( "binary",
         [ Alcotest.test_case "request round-trip" `Quick
             test_bin_request_roundtrip;
