@@ -214,7 +214,7 @@ let binary_footprint world (bin : Binary.t) : Footprint.t =
    resolves to one of them. So the key records, in [plt_got] order,
    what each name resolves to in this world rather than the names:
    the key of its defining library, which covers that library's
-   soname and C runtime bit. *)
+   payload and C runtime bit. *)
 
 (* What a key records for import [imp]: "-" when no library defines
    it, else the key of the library [def_lib] names. [None] when that
@@ -243,11 +243,11 @@ and add_imports world buf (bin : Binary.t) =
       | None -> false)
     bin.Binary.image.Lapis_elf.Image.plt_got
 
-(* A world library's key, memoized per world: its soname, that
-   soname's C runtime bit, its payload and the parts of its imports.
-   Meeting a soname whose key is still being computed means an import
-   cycle: every library on it (each one reaches the soname met) gets
-   no key, and so does every import it defines. *)
+(* A world library's key, memoized per world: its soname's C runtime
+   bit, its payload and the parts of its imports. Meeting a soname
+   whose key is still being computed means an import cycle: every
+   library on it (each one reaches the soname met) gets no key, and so
+   does every import it defines. *)
 and lib_key world soname =
   match Hashtbl.find_opt world.lib_keys soname with
   | Some (Keyed k) -> k
@@ -256,9 +256,6 @@ and lib_key world soname =
     Hashtbl.replace world.lib_keys soname Keying;
     let k =
       let buf = Buffer.create 1024 in
-      Buffer.add_string buf (string_of_int (String.length soname));
-      Buffer.add_char buf ':';
-      Buffer.add_string buf soname;
       Buffer.add_char buf (if world.libc_family soname then 'L' else 'x');
       match Hashtbl.find_opt world.libs soname with
       | None -> Some (Digest.string (Buffer.contents buf))

@@ -72,10 +72,10 @@ val closure_key : world -> Binary.t -> Digest.t option
     read about [bin]: a Merkle hash over the library import graph of
     - its payload digest ({!Binary.t.payload}), which also fixes the
       import names its analysis can meet (its [plt_got] names);
-    - for each of those names, the soname [def_lib] gives it, that
-      soname's [libc_family] bit and that library's own key (a
-      library's key hashes its soname, that bit, its payload and its
-      imports the same way, recursively);
+    - for each of those names, the [libc_family] bit of the soname
+      [def_lib] gives it and that library's own key (a library's key
+      hashes that bit, its payload and its imports the same way,
+      recursively);
     - whether [bin] is part of the C runtime, and whether it is the
       world's own library under its soname;
     - the dynamic linker's payload and imports when [bin] has
@@ -84,7 +84,9 @@ val closure_key : world -> Binary.t -> Digest.t option
     Invariant: two binaries with equal keys, in the same world or in
     two different ones, have identical resolved and phased footprints
     and bump the ["phase:*"] counters by the same amounts. That is
-    what lets a caller reuse a resolution across releases.
+    what lets a caller reuse a resolution across releases. The soname
+    itself is not hashed: resolution reads it only to find the
+    library (whose payload is hashed) and its [libc_family] bit.
 
     Cycle rule: [None] when the closure holds a library-level import
     cycle (a library importing its own export included), and for a

@@ -52,7 +52,6 @@ type config = {
   workers : int;
   shard_timeout : float;
   health_period : float;
-  cache_capacity : int;
 }
 
 let default =
@@ -62,8 +61,10 @@ let default =
     workers = 8;
     shard_timeout = 5.0;
     health_period = 1.0;
-    cache_capacity = 512;
   }
+
+(* Entries in the router's LRU over deterministic responses. *)
+let cache_capacity = 512
 
 (* ------------------------------------------------------------------ *)
 (* Shard clients                                                       *)
@@ -426,7 +427,7 @@ type t = {
   ranges : (shard * (int * int)) array;  (* range order = merge order *)
   sliced : bool;  (* shards serve range-sliced images, not full copies *)
   meta : int * int * int * int;  (* packages, apis, binaries, installs *)
-  cache : (string, (P.reply, P.err) result) Lru.t option;
+  cache : (string, (P.reply, P.err) result) Lru.t;
   rr : int Atomic.t;  (* round-robin cursor for forwarded ops *)
 }
 
@@ -654,15 +655,12 @@ let router_gauges t () =
   ]
   @ Frontend.process_gauges ()
   @
-  match t.cache with
-  | None -> []
-  | Some c ->
-    let hits, misses = Lru.stats c in
-    [
-      ("cache_entries", float_of_int (Lru.length c));
-      ("cache_hits", float_of_int hits);
-      ("cache_misses", float_of_int misses);
-    ]
+  let hits, misses = Lru.stats t.cache in
+  [
+    ("cache_entries", float_of_int (Lru.length t.cache));
+    ("cache_hits", float_of_int hits);
+    ("cache_misses", float_of_int misses);
+  ]
 
 (* What the router-side LRU may hold: point ops that forward to a
    single shard — pure functions of the fleet's (shared, immutable)
@@ -725,18 +723,18 @@ let handle_timed t (request : P.request) : (P.reply, P.err) result =
 
 let handle_request t (request : P.request) : P.response =
   let result =
-    match t.cache with
-    | Some c when cacheable_op t request.P.rq_op ->
+    if cacheable_op t request.P.rq_op then begin
       let key = P.canonical_key request in
-      (match Lru.find c key with
-       | Some r ->
-         Stage.incr "router:cache-hit";
-         r
-       | None ->
-         let r = handle_timed t request in
-         if cache_worthy r then Lru.add c key r;
-         r)
-    | _ -> handle_timed t request
+      match Lru.find t.cache key with
+      | Some r ->
+        Stage.incr "router:cache-hit";
+        r
+      | None ->
+        let r = handle_timed t request in
+        if cache_worthy r then Lru.add t.cache key r;
+        r
+    end
+    else handle_timed t request
   in
   { P.rs_id = request.P.rq_id; rs_result = result }
 
@@ -928,10 +926,7 @@ let start ?(config = default) specs =
                  meta.P.st_apis,
                  meta.P.st_binaries,
                  meta.P.st_installs );
-             cache =
-               (if config.cache_capacity > 0 then
-                  Some (Lru.create ~capacity:config.cache_capacity)
-                else None);
+             cache = Lru.create ~capacity:cache_capacity;
              rr = Atomic.make 0;
            }
          in

@@ -75,15 +75,14 @@ type config = {
   shard_timeout : float;
       (** seconds a shard call may take before it counts as failed *)
   health_period : float;  (** seconds between shard health pings *)
-  cache_capacity : int;
-      (** router-side LRU over deterministic responses, keyed on
-          {!Protocol.canonical_key} — repeated point queries answer
-          without crossing a shard wire. [0] disables. *)
 }
+(** The router also keeps a 512-entry LRU over deterministic
+    responses, keyed on {!Protocol.canonical_key}: repeated point
+    queries answer without crossing a shard wire. *)
 
 val default : config
 (** Loopback, ephemeral port, 8 workers (so a 256-slot job queue), 5s
-    shard timeout, 1s health period, 512 cache entries. *)
+    shard timeout, 1s health period. *)
 
 type t
 

@@ -132,25 +132,6 @@ let reused () = Stage.counter "resolve:reused"
 
 let snapshot_bytes a = Snapshot.to_string (Snapshot.of_analyzed a)
 
-let test_reuse_history () =
-  (* six releases through one shared cache: every release's snapshot
-     is byte-identical to a from-scratch run, and the warm releases
-     reuse resolutions instead of redoing them *)
-  let cache = Pipeline.new_cache () in
-  let pc = { Pipeline.default with shared_cache = Some cache } in
-  let warm_reused = ref 0 in
-  for r = 0 to 5 do
-    let dist = G.evolve ~config ~release:r () in
-    let before = reused () in
-    let inc = Pipeline.run ~config:pc dist in
-    if r > 0 then warm_reused := !warm_reused + (reused () - before);
-    Alcotest.(check string)
-      (Printf.sprintf "release %d: incremental == scratch" r)
-      (snapshot_bytes (Pipeline.run dist))
-      (snapshot_bytes inc)
-  done;
-  if !warm_reused = 0 then Alcotest.fail "warm releases reused no resolution"
-
 (* A hand-built world: the C runtime (a dynamic linker and a libc), an
    application library libfoo whose export calls into libc, and three
    packages. "foo" ships libfoo itself and an executable importing it,
@@ -344,6 +325,73 @@ let check_delta_error name expected ~base bytes =
   | Ok _ -> Alcotest.failf "%s: apply unexpectedly succeeded" name
   | Error e ->
     Alcotest.(check string) name expected (Snapshot.kind_name e)
+
+(* A C runtime point release: the stock dynamic linker with one more
+   startup syscall (personality), which every dynamically linked
+   executable's resolved footprint picks up. *)
+let patched_runtime (dist : P.distribution) =
+  let module Libc_gen = Core.Distro.Libc_gen in
+  let ld = Libc_gen.build_ld_so () in
+  let funcs =
+    List.map
+      (fun (f : Prog.func) ->
+        if f.Prog.fname = "_dl_start" then
+          { f with Prog.ops = Prog.Direct_syscall 135 :: f.Prog.ops }
+        else f)
+      ld.Prog.funcs
+  in
+  let bytes = Core.Asm.Builder.assemble_elf { ld with Prog.funcs } in
+  let ld_soname = Option.get ld.Prog.soname in
+  { dist with
+    P.runtime =
+      List.map
+        (fun (soname, b) -> (soname, if soname = ld_soname then bytes else b))
+        dist.P.runtime }
+
+let test_reuse_history () =
+  (* release 0 and the twenty after it through one shared cache, with
+     the patched dynamic linker at releases 3, 8, 13 and 18 (so it both
+     arrives and goes away): every release's snapshot is byte-identical
+     to a from-scratch run, its delta against release 0 applies back to
+     it and is refused by the previous release's snapshot, and the warm
+     releases reuse resolutions instead of redoing them *)
+  let cache = Pipeline.new_cache () in
+  let pc = { Pipeline.default with shared_cache = Some cache } in
+  let warm_reused = ref 0 in
+  let base = ref None and prev = ref None in
+  for r = 0 to 20 do
+    let dist = G.evolve ~config ~release:r () in
+    let dist = if r mod 5 = 3 then patched_runtime dist else dist in
+    let before = reused () in
+    let inc = Pipeline.run ~config:pc dist in
+    if r > 0 then warm_reused := !warm_reused + (reused () - before);
+    let snap = Snapshot.of_analyzed inc in
+    let bytes = Snapshot.to_string snap in
+    Alcotest.(check string)
+      (Printf.sprintf "release %d: incremental == scratch" r)
+      (snapshot_bytes (Pipeline.run dist))
+      bytes;
+    (match !base with
+     | None -> base := Some snap
+     | Some b ->
+       let delta = Snapshot.to_delta_string ~base:b snap in
+       let applied =
+         ok_exn (Printf.sprintf "release %d: apply" r)
+           (Snapshot.apply_delta ~base:b delta)
+       in
+       Alcotest.(check string)
+         (Printf.sprintf "release %d: the delta applies back" r)
+         bytes
+         (Snapshot.to_string applied);
+       (match !prev with
+        | Some p when p != b ->
+          check_delta_error
+            (Printf.sprintf "release %d: the delta on the previous release" r)
+            "base-mismatch" ~base:p delta
+        | _ -> ()));
+    prev := Some snap
+  done;
+  if !warm_reused = 0 then Alcotest.fail "warm releases reused no resolution"
 
 let test_delta_damage_goldens () =
   let base = Lazy.force base and cur = Lazy.force cur in
@@ -580,7 +628,7 @@ let () =
         [ Alcotest.test_case "bit-identical + counters" `Quick
             test_incremental_bit_identical;
           Alcotest.test_case "output goldens" `Quick test_output_goldens;
-          Alcotest.test_case "six releases reuse, == scratch" `Quick
+          Alcotest.test_case "twenty releases reuse, == scratch" `Quick
             test_reuse_history;
           Alcotest.test_case "a library change recomputes its importers"
             `Quick test_library_change_recomputes_importers;
