@@ -916,13 +916,6 @@ let serve_cmd =
     in
     Arg.(value & opt (some int) None & info [ "workers" ] ~docv:"N" ~doc)
   in
-  let cache_arg =
-    let doc =
-      "Response cache capacity for --tcp (canonicalized-request LRU; 0 \
-       disables caching)."
-    in
-    Arg.(value & opt int 1024 & info [ "cache" ] ~docv:"N" ~doc)
-  in
   let slice_arg =
     let doc =
       "With $(b,--snapshot) naming a format-4 index image: cut the \
@@ -984,7 +977,7 @@ let serve_cmd =
           snap
     with e -> Error (Printexc.to_string e)
   in
-  let run packages seed snapshot base stats tcp workers cache watch slice =
+  let run packages seed snapshot base stats tcp workers watch slice =
     (match slice with
      | None -> ()
      | Some _ ->
@@ -1032,7 +1025,7 @@ let serve_cmd =
      | Some port ->
        (match
           Server.start
-            ~config:{ Server.default with port; workers; cache_capacity = cache }
+            ~config:{ Server.default with port; workers }
             idx
         with
         | Error msg ->
@@ -1109,7 +1102,7 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve" ~doc)
     Term.(const run $ packages_arg $ seed_arg $ snapshot_arg $ base_arg
-          $ stats_arg $ tcp_arg $ workers_arg $ cache_arg $ watch_arg
+          $ stats_arg $ tcp_arg $ workers_arg $ watch_arg
           $ slice_arg)
 
 (* --- fleet -------------------------------------------------------------- *)

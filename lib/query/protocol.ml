@@ -17,12 +17,7 @@ module Histogram = Lapis_perf.Histogram
 module Snapshot = Lapis_store.Snapshot
 module Wire = Lapis_store.Snapshot.Wire
 
-let current_version = 1
-let supported_versions = [ 1 ]
-
 type codec = Json_lines | Binary
-
-let codec_names = [ "json"; "binary" ]
 
 let bad_request = "bad-request"
 let bad_api = "bad-api"
@@ -32,22 +27,8 @@ let parse_error = "parse"
 let internal_error = "internal"
 let overloaded = "overloaded"
 let degraded = "degraded"
-let unsupported_version = "unsupported-version"
-
-let negotiate proposed =
-  let common =
-    List.filter (fun v -> List.mem v supported_versions) proposed
-  in
-  match List.sort (fun a b -> compare b a) common with
-  | v :: _ -> Ok v
-  | [] ->
-    Error
-      ( unsupported_version,
-        Printf.sprintf "no common protocol version; server supports [%s]"
-          (String.concat "; " (List.map string_of_int supported_versions)) )
 
 type req =
-  | Hello of int list
   | Ping
   | Stats
   | Importance of { api : string; phase : Query.phase }
@@ -65,7 +46,6 @@ type req =
 type request = { rq_id : Json.t option; rq_op : req }
 
 let op_name = function
-  | Hello _ -> "hello"
   | Ping -> "ping"
   | Stats -> "stats"
   | Importance _ -> "importance"
@@ -87,7 +67,6 @@ type stats_reply = {
 }
 
 type reply =
-  | Hello_r of { version : int; codecs : string list }
   | Pong
   | Stats_r of stats_reply
   | Importance_r of {
@@ -178,12 +157,6 @@ let req_of_json j : (req, string * string) result =
      | None -> Error (bad_request, "\"op\" must be a string")
      | Some op ->
        (match op with
-        | "hello" ->
-          (match Json.member "versions" j with
-           | None -> Ok (Hello supported_versions)
-           | Some _ ->
-             let* versions = int_list_field j "versions" in
-             Ok (Hello versions))
         | "ping" -> Ok Ping
         | "stats" -> Ok Stats
         | "importance" ->
@@ -226,9 +199,6 @@ let phase_fields phase =
 let num n = Json.Num (float_of_int n)
 
 let json_of_req = function
-  | Hello versions ->
-    [ ("op", Json.Str "hello");
-      ("versions", Json.Arr (List.map num versions)) ]
   | Ping -> [ ("op", Json.Str "ping") ]
   | Stats -> [ ("op", Json.Str "stats") ]
   | Importance { api; phase } ->
@@ -263,7 +233,6 @@ let json_of_request { rq_id; rq_op } =
 (* ------------------------------------------------------------------ *)
 
 let reply_op = function
-  | Hello_r _ -> "hello"
   | Pong -> "ping"
   | Stats_r _ -> "stats"
   | Importance_r _ -> "importance"
@@ -292,9 +261,6 @@ let hist_json (s : Histogram.summary) =
     ]
 
 let reply_fields = function
-  | Hello_r { version; codecs } ->
-    [ ("version", num version);
-      ("codecs", Json.Arr (List.map (fun c -> Json.Str c) codecs)) ]
   | Pong -> [ ("pong", Json.Bool true) ]
   | Stats_r s ->
     [ ("n_packages", num s.st_packages);
@@ -379,13 +345,6 @@ let phase_of_response j =
 let decode_reply op j =
   match op with
   | "ping" -> Ok Pong
-  | "hello" ->
-    let* version = rint j "version" in
-    (match Json.member "codecs" j with
-     | Some (Json.Arr items) ->
-       let codecs = List.filter_map Json.to_str items in
-       Ok (Hello_r { version; codecs })
-     | _ -> Error "response lacks \"codecs\"")
   | "stats" ->
     let* st_packages = rint j "n_packages" in
     let* st_apis = rint j "n_apis" in
@@ -523,10 +482,10 @@ module Bin = struct
   (* Request tags live in 0x01..0x1f, response tags in 0x41..0x5f,
      the error response at 0x7f — disjoint ranges, so a frame decoded
      in the wrong direction fails loudly instead of aliasing. 0x0a and
-     0x49 carried the retired [batch] op: they stay unassigned, so an
-     old peer's batch frame is an unknown tag, never another op. *)
-  let t_hello = 0x01
-  and t_ping = 0x02
+     0x49 carried the retired [batch] op, 0x01 and 0x41 the retired
+     [hello]: they stay unassigned, so an old peer's frame is an
+     unknown tag, never another op. *)
+  let t_ping = 0x02
   and t_stats = 0x03
   and t_importance = 0x04
   and t_completeness = 0x05
@@ -535,8 +494,7 @@ module Bin = struct
   and t_dependents = 0x08
   and t_unknown = 0x09
 
-  let r_hello = 0x41
-  and r_pong = 0x42
+  let r_pong = 0x42
   and r_stats = 0x43
   and r_importance = 0x44
   and r_completeness = 0x45
@@ -584,10 +542,6 @@ module Bin = struct
 
   let write_request b { rq_id; rq_op } =
     (match rq_op with
-     | Hello versions ->
-       Buffer.add_char b (Char.chr t_hello);
-       w_id b rq_id;
-       w_int_list b versions
      | Ping ->
        Buffer.add_char b (Char.chr t_ping);
        w_id b rq_id
@@ -643,12 +597,6 @@ module Bin = struct
        Wire.w_str b e_msg
      | Ok reply ->
        (match reply with
-        | Hello_r { version; codecs } ->
-          Buffer.add_char b (Char.chr r_hello);
-          w_id b rs_id;
-          Wire.w_int b version;
-          Wire.w_varint b (List.length codecs);
-          List.iter (Wire.w_str b) codecs
         | Pong ->
           Buffer.add_char b (Char.chr r_pong);
           w_id b rs_id
@@ -751,8 +699,7 @@ module Bin = struct
     let tag = Wire.r_byte c "request tag" in
     let rq_id = r_id c in
     let rq_op =
-          if tag = t_hello then Hello (r_int_list c "versions")
-          else if tag = t_ping then Ping
+          if tag = t_ping then Ping
           else if tag = t_stats then Stats
           else if tag = t_importance then
             let api = Wire.r_str c "api" in
@@ -793,12 +740,6 @@ module Bin = struct
             let e_kind = Wire.r_str c "error kind" in
             let e_msg = Wire.r_str c "error msg" in
             Error { e_kind; e_msg }
-          else if tag = r_hello then
-            let version = Wire.r_int c "version" in
-            let n = Wire.r_varint c "codecs" in
-            if n > 1024 then raise (Bad "oversized codec list");
-            let codecs = List.init n (fun _ -> Wire.r_str c "codec") in
-            Ok (Hello_r { version; codecs })
           else if tag = r_pong then Ok Pong
           else if tag = r_stats then begin
             let st_packages = Wire.r_int c "n_packages" in

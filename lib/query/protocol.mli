@@ -1,6 +1,5 @@
-(** The versioned serve wire protocol: typed requests and responses,
-    explicit version negotiation, and the single canonicalization
-    point every entry point shares.
+(** The serve wire protocol: typed requests and responses, and the
+    single canonicalization point every entry point shares.
 
     Before this module existed the request/response surface lived as
     ad-hoc JSON plumbing inside {!Serve} and {!Server}; the fleet
@@ -18,36 +17,21 @@
       encode/decode is measurable overhead at fleet throughput.
 
     A connection chooses its codec implicitly by its first byte
-    ([0xB1] means binary, anything else means JSON lines) and its
-    protocol version explicitly with a [hello] request; a server
-    answers with the highest version both sides support. Version 1 is
-    the only version to date and is assumed when a client skips
-    [hello].
+    ([0xB1] means binary, anything else means JSON lines). There is
+    one protocol version, so nothing is negotiated: a [hello] op is
+    an unknown op, and its former binary tags are unknown tags.
 
     Decoding is total in both codecs: malformed bytes produce
     [Error], never an exception — held to the same
     truncation/bit-flip fuzz discipline as the snapshot formats. *)
 
-(** {2 Versions and codecs} *)
-
-val current_version : int
-(** 1 — the protocol described here. *)
-
-val supported_versions : int list
+(** {2 Codecs} *)
 
 type codec = Json_lines | Binary
-
-val codec_names : string list
-
-val negotiate : int list -> (int, string * string) result
-(** Highest common version of the proposal and {!supported_versions};
-    [Error (kind, msg)] with kind ["unsupported-version"] when the
-    intersection is empty. *)
 
 (** {2 Typed requests} *)
 
 type req =
-  | Hello of int list  (** protocol versions the client can speak *)
   | Ping
   | Stats
   | Importance of { api : string; phase : Query.phase }
@@ -92,8 +76,6 @@ val degraded : string
 (** The shard owning part of the answer is unavailable; the router
     refuses to return a silently partial sum. *)
 
-val unsupported_version : string
-
 type stats_reply = {
   st_packages : int;
   st_apis : int;
@@ -107,7 +89,6 @@ type stats_reply = {
 }
 
 type reply =
-  | Hello_r of { version : int; codecs : string list }
   | Pong
   | Stats_r of stats_reply
   | Importance_r of {

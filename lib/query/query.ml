@@ -42,10 +42,11 @@
     (ascending package index, total weight folded over the full row
     array), so results are equal to the closed-form implementations
     bit for bit, not merely within tolerance — the test suite asserts
-    [<= 1e-12] but the design target is exact. Sharded evaluation
-    ({!eval_syscalls_sharded}) merges per-range partial sums and is
-    the one deliberate exception: float addition is not associative,
-    so it is held to the 1e-12 tolerance instead.
+    [<= 1e-12] but the design target is exact. A scattered query
+    ({!eval_syscalls_partial} summed over {!shard_ranges}, the merge a
+    fleet router performs) is the one deliberate exception: float
+    addition is not associative, so it is held to the 1e-12 tolerance
+    instead.
 
     Index construction interns every API once, turning each package's
     requirement sets into arrays of dense ids that every later plane
@@ -660,7 +661,7 @@ let core_gate (common : int array) (supw : int array) =
   end
 
 (* One subset test per distinct closure class against the query's
-   support words, gated by the universal core: every class contains
+   support words. Callers run [core_gate] first: every class contains
    [common], so a query missing any core bit satisfies no class and
    the numerator is provably 0.0 — the caller can return 0.0 without
    touching the class rows or the package sweep (bit-exact:
@@ -673,49 +674,49 @@ let core_gate (common : int array) (supw : int array) =
    words inside the mapping, [supw] has [nw]). Every call allocates
    its own flags, so evaluation is safe from any number of domains
    against one shared index. *)
-let classes_ok ci (supw : int array) =
-  if not (core_gate ci.ci_common supw) then None
-  else begin
-    let nc = ci.ci_nc and nw = ci.ci_nw in
-    let ok = Array.make (max 1 nc) false in
-    let any = ref false in
-    (match ci.ci_flat with
-    | Bitset.Words_heap flat ->
-      for c = 0 to nc - 1 do
-        let base = c * nw in
-        let i = ref 0 in
-        while
-          !i < nw
-          && Array.unsafe_get flat (base + !i)
-             land lnot (Array.unsafe_get supw !i)
-             = 0
-        do
-          incr i
-        done;
-        if !i = nw then begin
-          ok.(c) <- true;
-          any := true
-        end
-      done
-    | Bitset.Words_map { wba; woff; _ } ->
-      for c = 0 to nc - 1 do
-        let base = woff + (c * nw) in
-        let i = ref 0 in
-        while
-          !i < nw
-          && Bigarray.Array1.unsafe_get wba (base + !i)
-             land lnot (Array.unsafe_get supw !i)
-             = 0
-        do
-          incr i
-        done;
-        if !i = nw then begin
-          ok.(c) <- true;
-          any := true
-        end
-      done);
-    if !any then Some ok else None
-  end
+let classes_match ci (supw : int array) =
+  let nc = ci.ci_nc and nw = ci.ci_nw in
+  let ok = Array.make (max 1 nc) false in
+  let any = ref false in
+  (match ci.ci_flat with
+  | Bitset.Words_heap flat ->
+    for c = 0 to nc - 1 do
+      let base = c * nw in
+      let i = ref 0 in
+      while
+        !i < nw
+        && Array.unsafe_get flat (base + !i)
+           land lnot (Array.unsafe_get supw !i)
+           = 0
+      do
+        incr i
+      done;
+      if !i = nw then begin
+        ok.(c) <- true;
+        any := true
+      end
+    done
+  | Bitset.Words_map { wba; woff; _ } ->
+    for c = 0 to nc - 1 do
+      let base = woff + (c * nw) in
+      let i = ref 0 in
+      while
+        !i < nw
+        && Bigarray.Array1.unsafe_get wba (base + !i)
+           land lnot (Array.unsafe_get supw !i)
+           = 0
+      do
+        incr i
+      done;
+      if !i = nw then begin
+        ok.(c) <- true;
+        any := true
+      end
+    done);
+  if !any then Some ok else None
+
+let classes_ok ci supw =
+  if core_gate ci.ci_common supw then classes_match ci supw else None
 
 (* The probability sweep in store order — the oracle's exact numerator
    fold (ascending package index over the full row array) — over the
@@ -762,29 +763,34 @@ let eval_pred ?(scope = All_apis) ?(phase = All) t ~supported =
   | None -> 0.0
   | Some ok -> sweep t ok ci
 
+(* A call the universal core answers counts as [query:eval-gated]
+   instead of [query:eval], so a test can count the gate's catches
+   exactly. *)
 let eval_syscalls ?(phase = All) t nrs =
-  Stage.incr "query:eval";
   let ci = sys_of t phase in
   let sup = Bitset.create (t.max_nr + 1) in
   List.iter (fun nr -> if nr >= 0 && nr <= t.max_nr then Bitset.add sup nr) nrs;
-  match classes_ok ci (Bitset.words sup) with
-  | None -> 0.0
-  | Some ok -> sweep t ok ci
-
-let eval_subsets ?domains ?phase t subsets =
-  Stage.time "query:eval-subsets" @@ fun () ->
-  Parmap.map ?domains (eval_syscalls ?phase t) subsets
+  let supw = Bitset.words sup in
+  if not (core_gate ci.ci_common supw) then begin
+    Stage.incr "query:eval-gated";
+    0.0
+  end
+  else begin
+    Stage.incr "query:eval";
+    match classes_match ci supw with
+    | None -> 0.0
+    | Some ok -> sweep t ok ci
+  end
 
 (* ------------------------------------------------------------------ *)
-(* Sharded evaluation                                                  *)
+(* Scattered evaluation                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Package-range shards: the component subset tests run once, then the
-   probability sweep fans out over contiguous ranges and the partial
-   sums merge in range order. The per-shard folds regroup the float
-   additions, so the result is within accumulation noise (<= 1e-12 in
-   the test suite) of the unsharded sweep, not bit-identical — use
-   {!eval_syscalls} when exactness matters more than the fan-out. *)
+(* The contiguous package ranges a fleet router scatters one
+   completeness query over. Summing the partials of these ranges in
+   order regroups the float additions, so the merged result is within
+   accumulation noise (<= 1e-12 in the test suite) of [eval_syscalls],
+   not bit-identical. *)
 let shard_ranges n shards =
   let shards = max 1 (min shards (max 1 n)) in
   let step = (n + shards - 1) / shards in
@@ -794,28 +800,9 @@ let shard_ranges n shards =
   in
   go 0 []
 
-let eval_syscalls_sharded ?domains ?(shards = 4) ?(phase = All) t nrs =
-  Stage.incr "query:eval-sharded";
-  let ci = sys_of t phase in
-  let sup = Bitset.create (t.max_nr + 1) in
-  List.iter (fun nr -> if nr >= 0 && nr <= t.max_nr then Bitset.add sup nr) nrs;
-  match classes_ok ci (Bitset.words sup) with
-  | None -> 0.0
-  | Some ok ->
-    let partials =
-      Parmap.map ?domains
-        (fun (lo, hi) -> sweep_range t ok ci lo hi)
-        (shard_ranges t.n shards)
-    in
-    let num = List.fold_left ( +. ) 0.0 partials in
-    if t.den = 0.0 then 0.0 else num /. t.den
-
 (* One shard's share of a scattered completeness query: the partial
    numerator over its package range, plus the world denominator so the
-   gatherer can check every shard answered from the same index. The
-   range sweep is the exact [sweep_range] the in-process sharded
-   evaluator uses, so a fleet shard's partial is bit-identical to the
-   corresponding term of [eval_syscalls_sharded]. *)
+   gatherer can check every shard answered from the same index. *)
 let eval_syscalls_partial ?(phase = All) t nrs ~lo ~hi =
   Stage.incr "query:eval-partial";
   let lo = max 0 (min lo t.n) and hi = max 0 (min hi t.n) in

@@ -136,39 +136,28 @@ val eval_syscalls : ?phase:phase -> t -> int list -> float
     default phase, equal to
     {!Lapis_metrics.Completeness.of_syscall_set}, bit for bit; with
     [Init]/[Serving], a package counts as supported when its
-    phase-restricted dependency closure fits the set. *)
-
-val eval_subsets : ?domains:int -> ?phase:phase -> t -> int list list -> float list
-(** Batch {!eval_syscalls}, fanned out over domains with
-    {!Lapis_perf.Parmap} (each subset evaluates whole on one domain,
-    so every element is still bit-identical to the oracle). Timed
-    under ["query:eval-subsets"]. *)
-
-val eval_syscalls_sharded :
-  ?domains:int -> ?shards:int -> ?phase:phase -> t -> int list -> float
-(** {!eval_syscalls} with the probability sweep sharded into
-    [shards] contiguous package ranges (default 4) evaluated in
-    parallel and merged in range order. Regrouping the float sums
-    makes this equal to {!eval_syscalls} within accumulation noise
-    (held to 1e-12 by the test suite), not bit-identical. *)
+    phase-restricted dependency closure fits the set. Each call bumps
+    one counter: ["query:eval-gated"] when the set misses a syscall of
+    the universal core (every package's closure needs it, so the
+    answer is 0.0 without a class test), ["query:eval"] otherwise. *)
 
 val shard_ranges : int -> int -> (int * int) list
 (** [shard_ranges n shards]: the contiguous [(lo, hi)] package-range
-    partition of [0, n) the sharded evaluator sweeps — exported so a
-    fleet router assigns its shards the exact same ranges (clamped to
-    at most [n] non-empty ranges, in order, covering [0, n)). *)
+    partition of [0, n) a fleet router scatters a completeness query
+    over (clamped to at most [n] non-empty ranges, in order, covering
+    [0, n)). *)
 
 val eval_syscalls_partial :
   ?phase:phase -> t -> int list -> lo:int -> hi:int -> float * float
 (** [(partial numerator over packages [lo, hi), world denominator)] —
     the shard side of a scattered completeness query. The component
     subset tests run whole (they are range-independent); the
-    probability sweep covers only the clamped range, with the exact
-    per-range fold of {!eval_syscalls_sharded}, so summing the
-    partials of a range partition in range order and dividing by the
-    (shared) denominator reproduces the sharded result: within
-    accumulation noise ([<= 1e-12] in the test suite) of
-    {!eval_syscalls}. The denominator lets a gatherer assert every
+    probability sweep covers only the clamped range, in the oracle's
+    fold order. Summing the partials of a range partition in range
+    order and dividing by the (shared) denominator — the router's
+    merge — is within accumulation noise ([<= 1e-12] in the test
+    suite) of {!eval_syscalls}: the regrouped float additions are the
+    only difference. The denominator lets a gatherer assert every
     shard evaluated the same world. *)
 
 val api_to_string : Api.t -> string

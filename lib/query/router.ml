@@ -520,9 +520,9 @@ let gather_partials t pieces =
 
 (* Scatter one completeness query: every shard gets its fixed package
    range in one round of pipelined sends, then the partials merge in
-   range order over the common denominator — the float regrouping of
-   [Query.eval_syscalls_sharded], so the answer is within 1e-12 of a
-   single-process evaluation. *)
+   range order over the common denominator. Regrouping the float sum
+   by range keeps the answer within 1e-12 of a single-process
+   evaluation, not bit-identical. *)
 let scatter t ~syscalls ~phase =
   let pieces =
     Array.to_list t.ranges
@@ -673,7 +673,7 @@ let router_gauges t () =
 let cacheable_op t = function
   | P.Importance _ | P.Top _ -> true
   | P.Dependents _ | P.Partial_completeness _ -> not t.sliced
-  | P.Hello _ | P.Ping | P.Stats | P.Completeness _ | P.Unknown _ -> false
+  | P.Ping | P.Stats | P.Completeness _ | P.Unknown _ -> false
 
 (* Only deterministic results enter the cache: an [Ok] or a
    validation error is the same answer forever, but [degraded] /
@@ -687,10 +687,6 @@ let cache_worthy = function
 
 let handle_req t (req : P.req) : (P.reply, P.err) result =
   match req with
-  | P.Hello versions ->
-    (match P.negotiate versions with
-     | Ok version -> Ok (P.Hello_r { version; codecs = P.codec_names })
-     | Error (kind, msg) -> err kind msg)
   | P.Ping -> Ok P.Pong
   | P.Stats ->
     let pk, ap, bn, ins = t.meta in

@@ -8,16 +8,16 @@
     one contiguous package range per shard: the exact
     {!Query.shard_ranges} partition, or each shard's own slice — and
     merges the partial sums in range order over the shared
-    denominator. That is the same float regrouping
-    {!Query.eval_syscalls_sharded} performs in-process, so a routed
-    answer is within accumulation noise ([<= 1e-12] in the test
-    suite) of a single-process one; every shard's denominator is
-    asserted equal before merging, so shards serving different worlds
-    answer a structured error instead of a silently wrong sum.
+    denominator ({!Query.eval_syscalls_partial}). Regrouping the sum
+    by range keeps a routed answer within accumulation noise
+    ([<= 1e-12] in the test suite) of a single-process one; every
+    shard's denominator is asserted equal before merging, so shards
+    serving different worlds answer a structured error instead of a
+    silently wrong sum.
 
     Point ops ([importance], [top], [dependents],
     [partial-completeness]) forward to one shard, round-robin over
-    the healthy ones. [ping], [hello] and [stats] answer locally —
+    the healthy ones. [ping] and [stats] answer locally —
     the router's [stats] reports its own gauges (queue depth and
     bound, shard health, cache counters, heap words and VmRSS) and
     latency histograms.

@@ -13,11 +13,6 @@ let err kind msg = Error { P.e_kind = kind; e_msg = msg }
 let eval ?(gauges = fun () -> []) idx (req : P.req) :
     (P.reply, P.err) result =
   match req with
-  | P.Hello versions ->
-    (match P.negotiate versions with
-     | Ok version ->
-       Ok (P.Hello_r { version; codecs = P.codec_names })
-     | Error (kind, msg) -> err kind msg)
   | P.Ping -> Ok P.Pong
   | P.Stats ->
     Ok
@@ -74,11 +69,11 @@ let handle_req ?gauges idx req =
   Histogram.observe_ns name (Int64.to_int (Int64.sub (Stage.now_ns ()) t0));
   result
 
-(* [hello] negotiates per connection and [stats] samples live gauges
-   and histograms — neither is a pure function of the index, so
-   neither is memoized. Everything else (errors included) is. *)
+(* [stats] samples live gauges and histograms — not a pure function
+   of the index, so not memoized. Everything else (errors included)
+   is. *)
 let cacheable = function
-  | P.Hello _ | P.Stats -> false
+  | P.Stats -> false
   | _ -> true
 
 let handle_request ?gauges idx (request : P.request) : P.response =
@@ -86,23 +81,23 @@ let handle_request ?gauges idx (request : P.request) : P.response =
 
 (* A hit is one lookup plus the id spliced back in: no evaluation and
    no encoding. *)
-let answer ?cache ?gauges idx codec (request : P.request) =
-  match cache with
-  | Some c when cacheable request.P.rq_op ->
+let answer ~cache ?gauges idx codec (request : P.request) =
+  if cacheable request.P.rq_op then begin
     let key = (codec, P.canonical_key request) in
     let idless =
-      match Lru.find c key with
+      match Lru.find cache key with
       | Some bytes -> bytes
       | None ->
         let bytes =
           P.encode_response codec
             { P.rs_id = None; rs_result = handle_req ?gauges idx request.P.rq_op }
         in
-        Lru.add c key bytes;
+        Lru.add cache key bytes;
         bytes
     in
     P.splice_id codec request.P.rq_id idless
-  | _ -> P.encode_response codec (handle_request ?gauges idx request)
+  end
+  else P.encode_response codec (handle_request ?gauges idx request)
 
 let handle_line ?gauges idx (line : string) : string =
   Stage.incr "serve:requests";

@@ -21,8 +21,8 @@ val handle_req :
   Protocol.req ->
   (Protocol.reply, Protocol.err) result
 (** Answer one typed request (timed under ["serve:<op>"]).
-    Evaluation-time validation (unknown API names, unsupported
-    protocol versions, unknown ops) produces [Error]; it never raises.
+    Evaluation-time validation (unknown API names, unknown ops)
+    produces [Error]; it never raises.
     [gauges] is sampled by the [stats] op — the host injects
     point-in-time numbers (queue depth, cache hit counts, shard
     health) it alone knows; the per-stage latency histograms are
@@ -36,18 +36,17 @@ val handle_request :
 (** {!handle_req} plus id correlation. *)
 
 val answer :
-  ?cache:cache ->
+  cache:cache ->
   ?gauges:(unit -> (string * float) list) ->
   Query.t ->
   Protocol.codec ->
   Protocol.request ->
   string
 (** The wire bytes of {!handle_request}'s response in [codec] (see
-    {!Protocol.encode_response}). With [cache], encoded replies are
-    memoized under the codec and {!Protocol.canonical_key} —
-    except [hello] and [stats], whose answers depend on live state —
-    and a hit splices the request's id into the cached bytes
-    ({!Protocol.splice_id}). *)
+    {!Protocol.encode_response}). Encoded replies are memoized in
+    [cache] under the codec and {!Protocol.canonical_key} — except
+    [stats], whose answer depends on live state — and a hit splices
+    the request's id into the cached bytes ({!Protocol.splice_id}). *)
 
 val handle_line :
   ?gauges:(unit -> (string * float) list) ->

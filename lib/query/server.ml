@@ -12,16 +12,12 @@ type config = {
   host : string;
   port : int;
   workers : int option;
-  cache_capacity : int;
 }
 
-let default =
-  {
-    host = "127.0.0.1";
-    port = 0;
-    workers = None;
-    cache_capacity = 1024;
-  }
+let default = { host = "127.0.0.1"; port = 0; workers = None }
+
+(* Response-cache entries per epoch. *)
+let cache_capacity = 1024
 
 (* One index + its response cache, immutable once published. Readers
    pin the current epoch for the duration of a single request; reload
@@ -31,14 +27,13 @@ let default =
 type epoch = {
   ep_id : int;
   ep_idx : Query.t;
-  ep_cache : Serve.cache option;
+  ep_cache : Serve.cache;
   ep_inflight : int Atomic.t;
 }
 
 type t = {
   fe : Frontend.t;
   epoch : epoch Atomic.t;
-  cache_capacity : int;
   n_workers : int;
   reload_mutex : Mutex.t;
 }
@@ -46,29 +41,23 @@ type t = {
 (* The stats op samples these live — the serving state only the
    server knows. *)
 let gauges t ep () =
-  let base =
-    [
-      ("workers", float_of_int t.n_workers);
-      ("connections", float_of_int (Frontend.connections_served t.fe));
-      ("epoch", float_of_int ep.ep_id);
-      (* The package range this shard's per-package planes cover — how
-         a fleet router learns its scatter partition from sliced
-         shards. A full index reports the whole range. *)
-      ("slice_lo", float_of_int (Query.slice_lo ep.ep_idx));
-      ("slice_hi", float_of_int (Query.slice_hi ep.ep_idx));
+  let hits, misses = Lru.stats ep.ep_cache in
+  [
+    ("workers", float_of_int t.n_workers);
+    ("connections", float_of_int (Frontend.connections_served t.fe));
+    ("epoch", float_of_int ep.ep_id);
+    (* The package range this shard's per-package planes cover — how
+       a fleet router learns its scatter partition from sliced
+       shards. A full index reports the whole range. *)
+    ("slice_lo", float_of_int (Query.slice_lo ep.ep_idx));
+    ("slice_hi", float_of_int (Query.slice_hi ep.ep_idx));
+  ]
+  @ Frontend.process_gauges ()
+  @ [
+      ("cache_entries", float_of_int (Lru.length ep.ep_cache));
+      ("cache_hits", float_of_int hits);
+      ("cache_misses", float_of_int misses);
     ]
-    @ Frontend.process_gauges ()
-  in
-  match ep.ep_cache with
-  | None -> base
-  | Some c ->
-    let hits, misses = Lru.stats c in
-    base
-    @ [
-        ("cache_entries", float_of_int (Lru.length c));
-        ("cache_hits", float_of_int hits);
-        ("cache_misses", float_of_int misses);
-      ]
 
 (* Pin the current epoch: bump its in-flight count, then re-check the
    pointer. If a reload won the race between the read and the bump,
@@ -89,7 +78,7 @@ let answer t msg =
   Fun.protect ~finally:(fun () -> Atomic.decr ep.ep_inflight) @@ fun () ->
   Stage.incr "serve:requests";
   Frontend.answer
-    (Serve.answer ?cache:ep.ep_cache ~gauges:(gauges t ep) ep.ep_idx)
+    (Serve.answer ~cache:ep.ep_cache ~gauges:(gauges t ep) ep.ep_idx)
     msg
 
 let port t = Frontend.port t.fe
@@ -99,13 +88,11 @@ let signal_stop t = Frontend.signal_stop t.fe
 let stop t = Frontend.stop t.fe
 let wait t = Frontend.wait t.fe
 
-let make_epoch ~id ~cache_capacity idx =
+let make_epoch ~id idx =
   {
     ep_id = id;
     ep_idx = idx;
-    ep_cache =
-      (if cache_capacity > 0 then Some (Lru.create ~capacity:cache_capacity)
-       else None);
+    ep_cache = Lru.create ~capacity:cache_capacity;
     ep_inflight = Atomic.make 0;
   }
 
@@ -115,9 +102,7 @@ let reload t idx =
     ~finally:(fun () -> Mutex.unlock t.reload_mutex)
     (fun () ->
       let old = Atomic.get t.epoch in
-      let fresh =
-        make_epoch ~id:(old.ep_id + 1) ~cache_capacity:t.cache_capacity idx
-      in
+      let fresh = make_epoch ~id:(old.ep_id + 1) idx in
       Atomic.set t.epoch fresh;
       (* Every pin taken after the store above lands on [fresh]; a pin
          racing the store either saw the new pointer (and retried onto
@@ -148,10 +133,7 @@ let start ?(config = default) idx =
     let t =
       {
         fe;
-        epoch =
-          Atomic.make
-            (make_epoch ~id:0 ~cache_capacity:config.cache_capacity idx);
-        cache_capacity = config.cache_capacity;
+        epoch = Atomic.make (make_epoch ~id:0 idx);
         n_workers = workers;
         reload_mutex = Mutex.create ();
       }

@@ -21,8 +21,8 @@
       parallel against the shared immutable {!Query.t} (evaluation
       allocates per-call scratch only, so no locking on the index).
       One pipelined connection is answered one request at a time;
-    - one shared {!Lru} cache of encoded replies across all clients
-      ({!Serve.cache}): keyed on the codec and
+    - one shared {!Lru} cache of 1,024 encoded replies across all
+      clients ({!Serve.cache}): keyed on the codec and
       {!Protocol.canonical_key}, without the id, so a hit is a lookup
       and an id splice, with no evaluation and no encoding.
 
@@ -52,13 +52,12 @@ type config = {
       (** domains the connections are spread over, the serving one
           included; [None] means the machine's recommended domain
           count minus one (at least 1). *)
-  cache_capacity : int;  (** response-cache entries; [0] disables *)
 }
 (** Everything {!start} needs beyond the index. Build one as
     [{ Server.default with workers = Some 4 }]. *)
 
 val default : config
-(** Loopback, ephemeral port, recommended workers, cache of 1024. *)
+(** Loopback, ephemeral port, recommended workers. *)
 
 type t
 
@@ -92,11 +91,11 @@ val reload : t -> Query.t -> unit
     finish against the epoch they started with — [reload] blocks
     until the last of them has delivered, so when it returns the old
     index is unreferenced and collectable. The response cache is
-    replaced by a fresh one sized like the original [cache_capacity];
-    no entry computed against the old index can ever answer a request
-    after the swap. Serialized internally: concurrent reloads apply
-    one at a time. Connections are unaffected; requests not yet
-    started run against the new epoch. *)
+    replaced by a fresh empty one; no entry computed against the old
+    index can ever answer a request after the swap. Serialized
+    internally: concurrent reloads apply one at a time. Connections
+    are unaffected; requests not yet started run against the new
+    epoch. *)
 
 val epoch_id : t -> int
 (** Identifier of the currently serving epoch: 0 at {!start},

@@ -9,6 +9,7 @@ module Syscall_table = Core.Apidb.Syscall_table
 module Query = Core.Query.Engine
 module Snapshot = Core.Db.Snapshot
 module Rng = Core.Distro.Rng
+module Stage = Core.Perf.Stage
 
 let env = lazy (Core.Study.Env.create_small ())
 let index () = (Lazy.force env).Core.Study.Env.index
@@ -39,9 +40,22 @@ let random_subsets ~n ~max_size =
 
 let phases = [ Query.All; Query.Init; Query.Serving ]
 
+(* The router's merge: the partials of [shard_ranges] summed in range
+   order over the shared denominator. *)
+let scattered ~shards ~phase t nrs =
+  let _, den = Query.eval_syscalls_partial ~phase t nrs ~lo:0 ~hi:0 in
+  let num =
+    List.fold_left
+      (fun acc (lo, hi) ->
+        acc +. fst (Query.eval_syscalls_partial ~phase t nrs ~lo ~hi))
+      0.0
+      (Query.shard_ranges (Query.n_packages t) shards)
+  in
+  if den = 0.0 then 0.0 else num /. den
+
 (* Every point metric, every eval path, every phase: loaded values
-   must equal the built index's bit for bit (sharded included — the
-   shard ranges and per-range fold orders are identical). *)
+   must equal the built index's bit for bit (scattered sums included —
+   the shard ranges and per-range fold orders are identical). *)
 let check_agreement built loaded =
   Alcotest.(check int) "n_packages" (Query.n_packages built)
     (Query.n_packages loaded);
@@ -77,8 +91,8 @@ let check_agreement built loaded =
             (Query.eval_syscalls ~phase loaded nrs);
           check_exact
             (Printf.sprintf "sharded subset %d %s" i p)
-            (Query.eval_syscalls_sharded ~shards:3 ~phase built nrs)
-            (Query.eval_syscalls_sharded ~shards:3 ~phase loaded nrs))
+            (scattered ~shards:3 ~phase built nrs)
+            (scattered ~shards:3 ~phase loaded nrs))
         (random_subsets ~n:40 ~max_size:150))
     phases;
   List.iter
@@ -175,6 +189,84 @@ let test_round_trip_mapped () =
   check_exact "replica agreement"
     (Query.eval_syscalls loaded all_nrs)
     (Query.eval_syscalls again all_nrs)
+
+(* --- a cold open answers from the mapping ---------------------------
+
+   [with_cold_image f] saves the built index as an image, resets the
+   stage registry, maps the image and sweeps every op in every phase
+   against the built index (the same sweep as the mapped round trip),
+   then hands [f] the path and the mapped index. *)
+let with_cold_image f =
+  let built = index () in
+  let path = Filename.temp_file "lapis_image" ".idx" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  (match Query.save_image ~seed:42 ~source_key:"test" path built with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "save_image: %a" Snapshot.pp_error e);
+  Stage.reset ();
+  let loaded =
+    match Query.load_image path with
+    | Ok t -> t
+    | Error e -> Alcotest.failf "load_image: %a" Snapshot.pp_error e
+  in
+  check_agreement built loaded;
+  check_bins_equal built loaded;
+  f path loaded
+
+let test_cold_open_builds_nothing () =
+  (* what made a cold open cheap is that it decodes no rows and builds
+     no index: both stages must not have run at all *)
+  with_cold_image @@ fun _ _ ->
+  Alcotest.(check int) "image-load entries" 1 (Stage.entries "image-load");
+  Alcotest.(check int) "query:index-build entries" 0
+    (Stage.entries "query:index-build");
+  Alcotest.(check int) "snapshot-load entries" 0
+    (Stage.entries "snapshot-load")
+
+(* /proc/self/smaps lists each mapping as a header line ending in the
+   mapped file's path, followed by "Key: value" lines. For each mapping
+   of [path]: its header and its "Key: N kB" sizes. *)
+let smaps_of path =
+  let is_header l =
+    match String.index_opt l ' ' with
+    | Some i -> String.contains (String.sub l 0 i) '-'
+    | None -> false
+  in
+  In_channel.with_open_text "/proc/self/smaps" In_channel.input_lines
+  |> List.fold_left
+       (fun acc l ->
+         match acc with
+         | _ when is_header l -> (l, []) :: acc
+         | (h, sizes) :: rest -> (
+           match Scanf.sscanf_opt l "%s@: %d kB%!" (fun k v -> (k, v)) with
+           | Some kv -> (h, kv :: sizes) :: rest
+           | None -> acc)
+         | [] -> acc)
+       []
+  |> List.filter (fun (h, _) -> String.ends_with ~suffix:(" " ^ path) h)
+
+let test_mapped_pages_stay_clean () =
+  (* why replicas of one image share memory: after the whole sweep the
+     image is still mapped, and not one of its pages has been copied
+     into the process (no anonymous, no privately dirtied page) *)
+  with_cold_image @@ fun path loaded ->
+  (* a mapping nothing references any more is unmapped here, so only
+     the ones the index really answers from are listed *)
+  Gc.full_major ();
+  let maps = smaps_of path in
+  if maps = [] then Alcotest.failf "no mapping of %s in /proc/self/smaps" path;
+  List.iter
+    (fun (header, sizes) ->
+      List.iter
+        (fun key ->
+          Alcotest.(check (option int))
+            (key ^ " kB: " ^ header)
+            (Some 0) (List.assoc_opt key sizes))
+        [ "Anonymous"; "Private_Dirty" ])
+    maps;
+  (* [loaded] is used up to here, so the collection above could not
+     unmap what it answers from *)
+  Alcotest.(check bool) "still mapped" true (Query.is_mapped loaded)
 
 let test_file_version_routes () =
   let path = Filename.temp_file "lapis_image" ".idx" in
@@ -428,6 +520,13 @@ let () =
           Alcotest.test_case "memory" `Quick test_round_trip_memory;
           Alcotest.test_case "mapped file" `Quick test_round_trip_mapped;
           Alcotest.test_case "version routing" `Quick test_file_version_routes;
+        ] );
+      ( "cold-open",
+        [
+          Alcotest.test_case "builds no index" `Quick
+            test_cold_open_builds_nothing;
+          Alcotest.test_case "mapped pages stay clean" `Quick
+            test_mapped_pages_stay_clean;
         ] );
       ( "damage",
         [

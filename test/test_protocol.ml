@@ -1,9 +1,8 @@
-(* Tests for the versioned wire protocol: version-negotiation
-   goldens, JSON and binary codec round-trips (example-based and
-   property-based), total decoding under truncation and bit flips,
-   cross-codec canonical keys, and the latency histogram the [stats]
-   op reports. Everything here is index-free — the protocol is pure
-   data. *)
+(* Tests for the wire protocol: JSON and binary codec round-trips
+   (example-based and property-based), total decoding under
+   truncation and bit flips, retired binary tags, cross-codec
+   canonical keys, and the latency histogram the [stats] op reports.
+   Everything here is index-free — the protocol is pure data. *)
 
 module P = Core.Query.Protocol
 module Json = Core.Query.Json
@@ -14,57 +13,10 @@ let parse_exn s =
   | Ok v -> v
   | Error msg -> Alcotest.failf "parse %S: %s" s msg
 
-(* --- version negotiation -------------------------------------------- *)
-
-let test_negotiate () =
-  (match P.negotiate [ 1 ] with
-   | Ok 1 -> ()
-   | _ -> Alcotest.fail "negotiate [1] must pick 1");
-  (match P.negotiate [ 99; 2; 1 ] with
-   | Ok 1 -> ()
-   | _ -> Alcotest.fail "negotiate picks the highest common version");
-  (match P.negotiate [ 2; 3 ] with
-   | Error (kind, _) ->
-     Alcotest.(check string) "future-only proposal" P.unsupported_version
-       kind
-   | Ok v -> Alcotest.failf "accepted unknown version %d" v);
-  (match P.negotiate [] with
-   | Error (kind, _) ->
-     Alcotest.(check string) "empty proposal" P.unsupported_version kind
-   | Ok v -> Alcotest.failf "accepted empty proposal as %d" v);
-  Alcotest.(check int) "current version" 1 P.current_version;
-  Alcotest.(check (list int)) "supported set" [ 1 ] P.supported_versions
-
-let test_hello_goldens () =
-  (* the wire spelling of hello, both directions *)
-  let req s =
-    match P.request_of_json (parse_exn s) with
-    | Ok r -> r.P.rq_op
-    | Error _ -> Alcotest.failf "hello %S did not parse" s
-  in
-  (match req {|{"op":"hello","versions":[1,2]}|} with
-   | P.Hello [ 1; 2 ] -> ()
-   | _ -> Alcotest.fail "hello versions not carried through");
-  (match req {|{"op":"hello"}|} with
-   | P.Hello vs ->
-     Alcotest.(check (list int)) "absent versions default to supported"
-       P.supported_versions vs
-   | _ -> Alcotest.fail "bare hello did not parse as Hello");
-  let resp =
-    {
-      P.rs_id = None;
-      rs_result =
-        Ok (P.Hello_r { version = 1; codecs = P.codec_names });
-    }
-  in
-  Alcotest.(check string) "hello response golden"
-    {|{"ok":true,"op":"hello","version":1,"codecs":["json","binary"]}|}
-    (Json.to_string (P.json_of_response resp))
-
 (* --- representative values ------------------------------------------ *)
 
 let sample_requests =
-  [ { P.rq_id = None; rq_op = P.Hello [ 1 ] };
+  [ { P.rq_id = None; rq_op = P.Ping };
     { P.rq_id = Some (Json.Num 7.0); rq_op = P.Ping };
     { P.rq_id = Some (Json.Str "abc"); rq_op = P.Stats };
     {
@@ -101,10 +53,7 @@ let sample_requests =
   ]
 
 let sample_responses =
-  [ {
-      P.rs_id = Some (Json.Num 1.0);
-      rs_result = Ok (P.Hello_r { version = 1; codecs = P.codec_names });
-    };
+  [ { P.rs_id = Some (Json.Num 1.0); rs_result = Ok P.Pong };
     { P.rs_id = None; rs_result = Ok P.Pong };
     {
       P.rs_id = Some (Json.Str "x");
@@ -329,11 +278,12 @@ let test_bin_frame_channel () =
         | Ok _ -> Alcotest.failf "truncation at %d produced a frame" cut)
   done
 
-(* --- the retired batch tags ------------------------------------------
+(* --- the retired tags -----------------------------------------------
 
    Tags 0x0a (request) and 0x49 (response) carried the retired [batch]
-   op and stay unassigned: a peer still sending one gets a structured
-   parse error in its own codec, never another op's answer. *)
+   op, 0x01 and 0x41 the retired [hello]. They stay unassigned: a peer
+   still sending one gets a structured parse error in its own codec,
+   never another op's answer. *)
 
 let test_retired_batch_tag () =
   let ping = payload (P.Bin.encode_request { P.rq_id = None; rq_op = P.Ping }) in
@@ -341,23 +291,28 @@ let test_retired_batch_tag () =
   let retired tag =
     String.make 1 (Char.chr tag) ^ String.sub ping 1 (String.length ping - 1)
   in
-  (match P.Bin.decode_request (retired 0x0a) with
-   | Error msg ->
-     Alcotest.(check string) "request tag" "unknown request tag 0x0a" msg
-   | Ok _ -> Alcotest.fail "a 0x0a frame decoded as a request");
-  (match P.Bin.decode_response (retired 0x49) with
-   | Error _ -> ()
-   | Ok _ -> Alcotest.fail "a 0x49 frame decoded as a response");
-  let answered =
-    Core.Query.Frontend.reply
-      (fun _ -> Alcotest.fail "the handler saw a retired frame")
-      (Core.Query.Frontend.Frame (retired 0x0a))
-  in
-  match P.Bin.decode_response (payload answered) with
-  | Ok { P.rs_id = None; rs_result = Error e } ->
-    Alcotest.(check string) "answered kind" P.parse_error e.P.e_kind
-  | Ok _ -> Alcotest.fail "a 0x0a frame was answered as a success"
-  | Error e -> Alcotest.failf "undecodable answer: %s" e
+  List.iter
+    (fun (rq_tag, rs_tag) ->
+      (match P.Bin.decode_request (retired rq_tag) with
+       | Error msg ->
+         Alcotest.(check string) "request tag"
+           (Printf.sprintf "unknown request tag 0x%02x" rq_tag)
+           msg
+       | Ok _ -> Alcotest.failf "a 0x%02x frame decoded as a request" rq_tag);
+      (match P.Bin.decode_response (retired rs_tag) with
+       | Error _ -> ()
+       | Ok _ -> Alcotest.failf "a 0x%02x frame decoded as a response" rs_tag);
+      let answered =
+        Core.Query.Frontend.reply
+          (fun _ -> Alcotest.fail "the handler saw a retired frame")
+          (Core.Query.Frontend.Frame (retired rq_tag))
+      in
+      match P.Bin.decode_response (payload answered) with
+      | Ok { P.rs_id = None; rs_result = Error e } ->
+        Alcotest.(check string) "answered kind" P.parse_error e.P.e_kind
+      | Ok _ -> Alcotest.failf "a 0x%02x frame was answered as a success" rq_tag
+      | Error e -> Alcotest.failf "undecodable answer: %s" e)
+    [ (0x0a, 0x49); (0x01, 0x41) ]
 
 let test_bin_truncation_total () =
   (* every prefix of every payload decodes to a value, never raises *)
@@ -400,7 +355,6 @@ let gen_req =
     oneof
       [ return P.Ping;
         return P.Stats;
-        map (fun vs -> P.Hello vs) (list_size (int_bound 4) (int_bound 9));
         map2
           (fun api phase -> P.Importance { api; phase })
           (oneofl [ "read"; "mmap"; "syscall:7"; "not-an-api" ])
@@ -532,10 +486,7 @@ let prop_integral_numbers_print_as_printf =
 
 let () =
   Alcotest.run "protocol"
-    [ ( "version",
-        [ Alcotest.test_case "negotiate" `Quick test_negotiate;
-          Alcotest.test_case "hello goldens" `Quick test_hello_goldens ] );
-      ( "json",
+    [ ( "json",
         [ Alcotest.test_case "request round-trip" `Quick
             test_json_request_roundtrip;
           Alcotest.test_case "response round-trip" `Quick

@@ -11,6 +11,7 @@ module Serve = Core.Query.Serve
 module Importance = Core.Metrics.Importance
 module Completeness = Core.Metrics.Completeness
 module Rng = Core.Distro.Rng
+module Stage = Core.Perf.Stage
 
 let env = lazy (Core.Study.Env.create_small ())
 let index () = (Lazy.force env).Core.Study.Env.index
@@ -137,10 +138,23 @@ let test_dependents_ranked () =
   Alcotest.(check int) "limit honored" (min 3 (List.length ranked))
     (List.length limited)
 
+(* The router's merge: the partials of [shard_ranges] summed in range
+   order over the shared denominator. *)
+let scattered ~shards idx nrs =
+  let _, den = Query.eval_syscalls_partial idx nrs ~lo:0 ~hi:0 in
+  let num =
+    List.fold_left
+      (fun acc (lo, hi) ->
+        acc +. fst (Query.eval_syscalls_partial idx nrs ~lo ~hi))
+      0.0
+      (Query.shard_ranges (Query.n_packages idx) shards)
+  in
+  if den = 0.0 then 0.0 else num /. den
+
 let test_sharded_matches_unsharded () =
-  (* the sharded evaluator regroups the numerator sum by package
-     range, so it may differ from the single sweep only by float
-     reassociation — within 1e-12, never more *)
+  (* the scattered sum regroups the numerator by package range, so it
+     may differ from the single sweep only by float reassociation —
+     within 1e-12, never more *)
   let idx = index () in
   List.iteri
     (fun i nrs ->
@@ -149,24 +163,71 @@ let test_sharded_matches_unsharded () =
         (fun shards ->
           check_close
             (Printf.sprintf "subset %d sharded x%d" i shards)
-            (Query.eval_syscalls_sharded ~shards idx nrs)
+            (scattered ~shards idx nrs)
             single)
         [ 1; 2; 7 ])
     (random_subsets ~n:60 ~max_size:150);
   check_close "empty subset sharded"
-    (Query.eval_syscalls_sharded ~shards:4 idx [])
+    (scattered ~shards:4 idx [])
     (Query.eval_syscalls idx [])
 
-let test_eval_subsets_batch () =
+(* The universal-core gate, counted exactly. A syscall is in the core
+   when every package needs it: with everything else supported, no
+   package is (dependency rule included). A query that omits a core
+   syscall must be answered by the gate ([query:eval-gated]), every
+   other one must reach the class tests ([query:eval]). A gate that
+   lets everything through answers the same numbers more slowly, so
+   only the counters can tell. *)
+let test_core_gate_counts () =
   let idx = index () and store = store () in
-  let subsets = random_subsets ~n:50 ~max_size:120 in
-  let batch = Query.eval_subsets idx subsets in
-  Alcotest.(check int) "one answer per subset" (List.length subsets)
-    (List.length batch);
-  List.iter2
-    (fun nrs v -> check_close "batch element" v
-        (Completeness.of_syscall_set store nrs))
-    subsets batch
+  let used =
+    Array.fold_left
+      (fun acc (p : Store.pkg_row) ->
+        Api.Set.fold
+          (fun api acc ->
+            match api with Api.Syscall nr -> nr :: acc | _ -> acc)
+          p.Store.pr_apis acc)
+      [] store.Store.packages
+    |> List.sort_uniq compare
+  in
+  let needed_by_all nr =
+    Array.for_all not
+      (Completeness.supported_packages ~scope:Completeness.Syscalls_only
+         store ~supported:(function
+           | Api.Syscall s -> s <> nr
+           | _ -> true))
+  in
+  let core = List.filter needed_by_all used in
+  if core = [] then Alcotest.fail "no universal core: the gate is untested";
+  let everything =
+    Array.to_list Syscall_table.all
+    |> List.map (fun (e : Syscall_table.entry) -> e.Syscall_table.nr)
+  in
+  (* the core itself and every superset of it pass; the core minus
+     any one member, and most random subsets, do not *)
+  let random = random_subsets ~n:150 ~max_size:200 in
+  let queries =
+    everything :: core :: [] :: random
+    @ List.map (fun c -> List.filter (fun nr -> nr <> c) core) core
+    @ List.map (fun nrs -> core @ nrs) random
+  in
+  let gated =
+    List.length
+      (List.filter
+         (fun nrs -> List.exists (fun c -> not (List.mem c nrs)) core)
+         queries)
+  in
+  let ungated = List.length queries - gated in
+  if gated = 0 || ungated = 0 then
+    Alcotest.failf "query set exercises one side only (%d gated, %d not)"
+      gated ungated;
+  let gated0 = Stage.counter "query:eval-gated"
+  and eval0 = Stage.counter "query:eval" in
+  List.iter (fun nrs -> ignore (Query.eval_syscalls idx nrs)) queries;
+  Alcotest.(check int) "gated calls" gated
+    (Stage.counter "query:eval-gated" - gated0);
+  Alcotest.(check int) "class-tested calls" ungated
+    (Stage.counter "query:eval" - eval0)
 
 (* --- JSON codec -------------------------------------------------------- *)
 
@@ -328,11 +389,15 @@ let test_serve_errors () =
    | _ -> Alcotest.fail "id not echoed on error")
 
 let test_serve_retired_batch () =
-  (* the retired batch op is just an op this version does not know *)
-  Alcotest.(check string) "golden"
+  (* the retired batch and hello ops are just ops this version does
+     not know *)
+  Alcotest.(check string) "batch golden"
     {|{"id":5,"ok":false,"error":{"kind":"unknown-op","msg":"unknown op \"batch\""}}|}
     (Serve.handle_line (index ())
-       {|{"op":"batch","id":5,"requests":[{"op":"ping","id":6}]}|})
+       {|{"op":"batch","id":5,"requests":[{"op":"ping","id":6}]}|});
+  Alcotest.(check string) "hello golden"
+    {|{"id":6,"ok":false,"error":{"kind":"unknown-op","msg":"unknown op \"hello\""}}|}
+    (Serve.handle_line (index ()) {|{"op":"hello","id":6,"versions":[1]}|})
 
 let test_serve_loop () =
   (* full loop over real channels: blank lines skipped, one JSON line
@@ -417,7 +482,8 @@ let () =
           Alcotest.test_case "dependents" `Quick test_dependents_ranked;
           Alcotest.test_case "sharded eval" `Quick
             test_sharded_matches_unsharded;
-          Alcotest.test_case "batch eval" `Quick test_eval_subsets_batch ] );
+          Alcotest.test_case "core gate counts" `Quick test_core_gate_counts
+        ] );
       ( "json",
         [ Alcotest.test_case "round-trip" `Quick test_json_roundtrip;
           Alcotest.test_case "rejects" `Quick test_json_rejects;

@@ -183,13 +183,10 @@ let test_local_ops_and_stats () =
       let port = Router.port router in
       let r = ask port {|{"op":"ping","id":1}|} in
       Alcotest.(check bool) "ping ok" true (is_ok r);
-      let r = ask port {|{"op":"hello","versions":[1,9]}|} in
-      Alcotest.(check bool) "hello ok" true (is_ok r);
-      Alcotest.(check (float 0.0)) "negotiated version" 1.0 (num "version" r);
-      let r = ask port {|{"op":"hello","versions":[42]}|} in
-      Alcotest.(check bool) "future-only hello rejected" false (is_ok r);
-      Alcotest.(check string) "hello error kind" "unsupported-version"
-        (error_kind r);
+      let r = ask port {|{"op":"ping","id":2}|} in
+      Alcotest.(check bool) "pong" true
+        (Json.member "pong" r = Some (Json.Bool true));
+      Alcotest.(check (float 0.0)) "ping id echoed" 2.0 (num "id" r);
       let r = ask port {|{"op":"stats"}|} in
       Alcotest.(check bool) "stats ok" true (is_ok r);
       Alcotest.(check int) "stats package count"
@@ -209,8 +206,10 @@ let test_local_ops_and_stats () =
         (int_of_float (num "queue_capacity" r));
       Alcotest.(check bool) "no shed gauge" true
         (Json.member "shed" r = None);
-      let r = ask port {|{"op":"explode"}|} in
-      Alcotest.(check string) "unknown op" "unknown-op" (error_kind r))
+      List.iter
+        (fun line ->
+          Alcotest.(check string) line "unknown-op" (error_kind (ask port line)))
+        [ {|{"op":"explode"}|}; {|{"op":"hello","versions":[1]}|} ])
 
 (* --- degradation ------------------------------------------------------ *)
 
@@ -511,7 +510,7 @@ let test_binary_client () =
         | Error `Eof -> Alcotest.fail "router closed the binary stream"
         | Error (`Bad m) -> Alcotest.failf "binary framing: %s" m
       in
-      send { P.rq_id = Some (Json.Num 1.0); rq_op = P.Hello [ 1 ] };
+      send { P.rq_id = Some (Json.Num 1.0); rq_op = P.Ping };
       send
         {
           P.rq_id = Some (Json.Num 2.0);
@@ -520,8 +519,8 @@ let test_binary_client () =
       send { P.rq_id = Some (Json.Num 3.0); rq_op = P.Top 3 };
       flush oc;
       (match (recv ()).P.rs_result with
-       | Ok (P.Hello_r { version = 1; _ }) -> ()
-       | _ -> Alcotest.fail "binary hello failed");
+       | Ok P.Pong -> ()
+       | _ -> Alcotest.fail "binary ping failed");
       (match (recv ()).P.rs_result with
        | Ok (P.Completeness_r { completeness; _ }) ->
          let direct = Engine.eval_syscalls (index ()) [ 0; 1; 2 ] in

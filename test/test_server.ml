@@ -16,8 +16,8 @@ module Engine = Core.Query.Engine
 let env = lazy (Core.Study.Env.create_small ())
 let index () = (Lazy.force env).Core.Study.Env.index
 
-let start_exn ?workers ?(cache_capacity = 1024) () =
-  let config = { Server.default with workers; cache_capacity } in
+let start_exn ?workers () =
+  let config = { Server.default with workers } in
   match Server.start ~config (index ()) with
   | Ok srv -> srv
   | Error msg -> Alcotest.failf "server start: %s" msg
@@ -208,7 +208,7 @@ let test_graceful_stop () =
 let test_cache_consistency () =
   (* the shared LRU must not leak one client's id into another's
      response for the same canonical request *)
-  let srv = start_exn ~workers:2 ~cache_capacity:16 () in
+  let srv = start_exn ~workers:2 () in
   Fun.protect
     ~finally:(fun () -> Server.stop srv)
     (fun () ->
@@ -240,13 +240,12 @@ let test_cache_consistency () =
 let uncached msg = Frontend.reply (Serve.handle_request (index ())) msg
 
 (* Request [i] of a burst: every op, cache-friendly repeats, and the
-   error paths — unknown API, unsupported version, unknown op. *)
+   error paths — unknown API, unknown op. *)
 let burst_op i =
   let subsets = [| [ 0; 1; 2 ]; []; [ 5; 9; 60 ]; [ 7 ]; [ 0; 1; 2; 3; 4; 447 ] |] in
   let phase = [| Engine.All; Engine.Init; Engine.Serving |].(i mod 3) in
   match i mod 13 with
-  | 0 -> P.Ping
-  | 1 -> P.Hello (if i mod 2 = 0 then [ 1 ] else [ 9 ])
+  | 0 | 1 -> P.Ping
   | 2 -> P.Importance { api = (if i mod 4 = 2 then "read" else "mmap"); phase }
   | 3 -> P.Completeness { syscalls = subsets.(i mod 5); phase }
   | 4 ->
@@ -426,7 +425,7 @@ let test_concurrent_then_stop () =
      writes: everything already sent is still answered, and only then
      does each connection close *)
   let n_clients = 6 in
-  let srv = start_exn ~workers:3 ~cache_capacity:32 () in
+  let srv = start_exn ~workers:3 () in
   let port = Server.port srv in
   let run_clients ?rcvbuf ?op per_client ~eof ~between =
     let errors = Array.make n_clients None in
@@ -535,7 +534,7 @@ let test_reload_swaps_answers () =
   (* the reload must change the answer AND invalidate the response
      cache: the same canonical request was cached against the old
      index, so a stale hit would return the old top-1 *)
-  let srv = start_exn ~workers:2 ~cache_capacity:64 () in
+  let srv = start_exn ~workers:2 () in
   Fun.protect
     ~finally:(fun () -> Server.stop srv)
     (fun () ->
@@ -560,7 +559,7 @@ let test_reload_under_load () =
      forth: no dropped connection, no protocol error, per-connection
      order preserved, every request answered from some epoch *)
   let n_clients = 4 and per_client = 40 and reloads = 6 in
-  let srv = start_exn ~workers:3 ~cache_capacity:32 () in
+  let srv = start_exn ~workers:3 () in
   Fun.protect
     ~finally:(fun () -> Server.stop srv)
     (fun () ->
