@@ -11,7 +11,6 @@
      seccomp    emit a seccomp allow-list for an ELF file
      compat     weighted completeness of a user-provided syscall list
      query      one-shot indexed query against a saved snapshot
-     slice      cut range-sliced index images from a full one
      serve      line-delimited JSON query loop over stdin/stdout
      fleet      sharded multi-process serving: N serve shards behind a
                 scatter/gather router (--slice: one slice per shard)
@@ -818,81 +817,6 @@ let query_cmd =
     Term.(const run $ snapshot_arg $ base_arg $ stats_arg $ phase_arg
           $ op_arg $ operands_arg)
 
-(* --- slice -------------------------------------------------------------- *)
-
-let slice_cmd =
-  let range_arg =
-    let doc =
-      "Cut the single package range [LO, HI) (half-open, global \
-       package ids)."
-    in
-    Arg.(value & opt (some string) None & info [ "range" ] ~docv:"LO:HI" ~doc)
-  in
-  let shards_arg =
-    let doc =
-      "Cut the N-way contiguous partition a fleet of N shards scatters \
-       over (the $(b,lapis fleet --slice) layout), one image per range."
-    in
-    Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"N" ~doc)
-  in
-  let out_arg =
-    let doc =
-      "Output path for $(b,--range) (default: \
-       $(i,IMAGE).slice-$(i,LO)-$(i,HI))."
-    in
-    Arg.(value & opt (some string) None & info [ "o"; "out" ] ~docv:"PATH" ~doc)
-  in
-  let run snapshot range shards out =
-    setup_logs ();
-    let path =
-      match snapshot with
-      | Some p -> p
-      | None ->
-        Printf.eprintf
-          "lapis: slice needs --snapshot PATH naming a format-4 index \
-           image (lapis analyze --save-index)\n";
-        exit 2
-    in
-    if not (is_index_image path) then begin
-      Printf.eprintf
-        "lapis: %s is not a format-4 index image; slices are cut from \
-         images (lapis analyze --save-index)\n"
-        path;
-      exit 2
-    end;
-    let idx = load_image path in
-    match (range, shards) with
-    | Some spec, None ->
-      let range = parse_slice_spec spec in
-      let out = Option.value out ~default:(slice_out_path path range) in
-      cut_slice idx ~range out;
-      print_endline out
-    | None, Some n ->
-      if n < 1 then begin
-        Printf.eprintf "lapis: --shards must be positive\n";
-        exit 2
-      end;
-      List.iter
-        (fun range ->
-          let out = slice_out_path path range in
-          cut_slice idx ~range out;
-          print_endline out)
-        (Query.shard_ranges (Query.n_packages idx) n)
-    | Some _, Some _ | None, None ->
-      Printf.eprintf "lapis: slice takes exactly one of --range, --shards\n";
-      exit 2
-  in
-  let doc =
-    "Cut a range-sliced index image from a full one: per-package \
-     planes cover only the requested range, shared per-API planes ride \
-     along whole, so each slice maps a ~N-fold smaller file while \
-     in-range partial-completeness answers stay bit-identical to the \
-     full image. Slice paths are printed one per line on stdout."
-  in
-  Cmd.v
-    (Cmd.info "slice" ~doc)
-    Term.(const run $ snapshot_arg $ range_arg $ shards_arg $ out_arg)
-
 (* --- serve -------------------------------------------------------------- *)
 
 let serve_cmd =
@@ -1127,10 +1051,6 @@ let fleet_cmd =
     in
     Arg.(value & opt (some string) None & info [ "connect" ] ~docv:"SPECS" ~doc)
   in
-  let workers_arg =
-    let doc = "Worker domains per spawned shard (default: the shard's own)." in
-    Arg.(value & opt (some int) None & info [ "shard-workers" ] ~docv:"N" ~doc)
-  in
   let slice_flag =
     let doc =
       "Spawn each shard on its own range-sliced image ($(b,lapis serve \
@@ -1162,7 +1082,7 @@ let fleet_cmd =
     in
     go ()
   in
-  let run snapshot base tcp shards connect workers slice stats =
+  let run snapshot base tcp shards connect slice stats =
     setup_logs ();
     if slice && connect <> None then begin
       Printf.eprintf
@@ -1229,9 +1149,6 @@ let fleet_cmd =
                 "--tcp"; string_of_int port ]
               @ extra
               @ (match base with Some b -> [ "--base"; b ] | None -> [])
-              @ (match workers with
-                 | Some w -> [ "--workers"; string_of_int w ]
-                 | None -> [])
             in
             let pid =
               Unix.create_process Sys.executable_name (Array.of_list args)
@@ -1287,7 +1204,7 @@ let fleet_cmd =
   Cmd.v
     (Cmd.info "fleet" ~doc)
     Term.(const run $ snapshot_arg $ base_arg $ tcp_arg $ shards_arg
-          $ connect_arg $ workers_arg $ slice_flag $ stats_arg)
+          $ connect_arg $ slice_flag $ stats_arg)
 
 let () =
   let doc =
@@ -1299,5 +1216,5 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ generate_cmd; evolve_cmd; report_cmd; analyze_cmd; footprint_cmd;
-            seccomp_cmd; compat_cmd; query_cmd; slice_cmd; serve_cmd;
+            seccomp_cmd; compat_cmd; query_cmd; serve_cmd;
             fleet_cmd ]))

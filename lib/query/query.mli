@@ -194,8 +194,8 @@ val find_bin :
 (** {2 Format-4 index images}
 
     A built index serialized flat — little-endian, 8-aligned,
-    section-tabled — so serving processes map it read-only
-    ({!load_image}) and answer queries in place with zero decode,
+    section-tabled — so serving processes map it ({!load_image})
+    and answer queries in place with zero decode,
     bit-identically to a freshly built index. Shares the [LAPISNAP]
     header discipline and {!Lapis_store.Snapshot.error} taxonomy with
     row snapshots; {!Lapis_store.Snapshot.file_version} routes a path
@@ -231,9 +231,14 @@ val of_image : ?verify:bool -> string -> (t, Lapis_store.Snapshot.error) result
     exercise the structural validators on flipped payloads. *)
 
 val load_image : ?verify:bool -> string -> (t, Lapis_store.Snapshot.error) result
-(** Map an image file read-only ([Unix.map_file]) and validate every
-    section offset, length, plane width and cross-reference up front;
-    the returned index answers queries straight from the mapping.
+(** Map an image file ([Unix.map_file] with [shared:false]) and
+    validate every section offset, length, plane width and
+    cross-reference up front; the returned index answers queries
+    straight from the mapping. [Unix.map_file] has no read-only mode:
+    the mapping is [MAP_PRIVATE] and writable ([rw-p] in
+    [/proc/self/smaps]), so a stray store would copy its page into the
+    process. Nothing here writes to it; [test_image.ml]'s "mapped
+    pages stay clean" case holds that property.
     [verify] (default true) streams the payload once to check the MD5
     — skipping it makes loading O(validation), not O(file). Timed
     under the ["image-load"] stage. *)

@@ -467,6 +467,29 @@ let test_slice_full_width () =
   check_agreement full sliced;
   check_bins_equal full sliced
 
+let test_slice_bytes () =
+  (* the shared per-API planes ride along whole in every slice, but the
+     per-package planes are cut: a fleet's slices together stay within
+     1.25x of the full image *)
+  let full = index () in
+  let bytes ?range () =
+    match
+      Query.to_image_string ~seed:42 ~source_key:"test" ?range full
+    with
+    | Ok s -> String.length s
+    | Error e -> Alcotest.failf "to_image_string: %a" Snapshot.pp_error e
+  in
+  let whole = bytes () in
+  let sliced =
+    List.fold_left
+      (fun acc range -> acc + bytes ~range ())
+      0
+      (Query.shard_ranges (Query.n_packages full) 4)
+  in
+  if float_of_int sliced > 1.25 *. float_of_int whole then
+    Alcotest.failf "4 slices total %d B, above 1.25x the full %d B" sliced
+      whole
+
 let test_qcheck_slice_partials () =
   let full = index () in
   let n = Query.n_packages full in
@@ -494,9 +517,20 @@ let test_qcheck_slice_partials () =
   in
   QCheck_alcotest.to_alcotest cell
 
+(* One file mapping for the whole suite. The file is removed once
+   mapped; the mapping outlives it. *)
+let mapped = lazy (
+  let path = Filename.temp_file "lapis_image" ".idx" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (Lazy.force image));
+  match Query.load_image path with
+  | Ok t -> t
+  | Error e -> Alcotest.failf "load_image: %a" Snapshot.pp_error e)
+
 let test_qcheck_heap_map_agree () =
   let built = index () in
-  let loaded = of_image_exn (Lazy.force image) in
+  let loaded = Lazy.force mapped in
   let gen =
     QCheck2.Gen.(
       pair
@@ -539,6 +573,8 @@ let () =
         [
           Alcotest.test_case "example ranges" `Quick test_slices_example;
           Alcotest.test_case "full width" `Quick test_slice_full_width;
+          Alcotest.test_case "4 slices within 1.25x the image" `Quick
+            test_slice_bytes;
         ] );
       ( "qcheck",
         [ test_qcheck_heap_map_agree (); test_qcheck_slice_partials () ] );

@@ -4,7 +4,8 @@
    byte-for-byte like the uncached evaluator, an idle client that must
    not starve the others, and a clean graceful shutdown that answers
    everything already sent. Everything runs against an ephemeral port
-   ([~port:0]) on the shared small corpus. *)
+   ([~port:0]) on the shared small corpus; the last case spawns the
+   built `lapis serve --watch` and republishes its image under load. *)
 
 module Json = Core.Query.Json
 module P = Core.Query.Protocol
@@ -615,6 +616,212 @@ let test_reload_under_load () =
             resps)
         results)
 
+(* --- a real `lapis serve --watch` process ----------------------------
+
+   The built CLI serving an image file under load while that file is
+   republished: a good image, a damaged one, then the original. Each
+   publish is a temp file plus rename, as `evolve --publish` does. The
+   child's stderr goes to a file the test polls; every wait has a
+   deadline, and the child is SIGKILLed and reaped however the test
+   ends. *)
+
+let lapis_exe = "../bin/lapis.exe"
+
+let image_exn idx =
+  match Engine.to_image_string ~seed:42 ~source_key:"test" idx with
+  | Ok s -> s
+  | Error e -> Alcotest.failf "to_image_string: %a" Core.Db.Snapshot.pp_error e
+
+let publish path data =
+  let tmp = path ^ ".tmp" in
+  Out_channel.with_open_bin tmp (fun oc -> output_string oc data);
+  Unix.rename tmp path
+
+(* kind of the k-th request on a load connection: ping, completeness,
+   top, and an unknown op that must come back as a structured error *)
+let load_request ~id k =
+  match k mod 4 with
+  | 0 -> Printf.sprintf {|{"op":"ping","id":%d}|} id
+  | 1 ->
+    Printf.sprintf {|{"op":"completeness","syscalls":[0,1,7,%d],"id":%d}|}
+      (k mod 60) id
+  | 2 -> Printf.sprintf {|{"op":"top","n":5,"id":%d}|} id
+  | _ -> Printf.sprintf {|{"op":"bogus-%d","id":%d}|} k id
+
+(* Pipeline windows of 16 requests on one connection until [stop];
+   [answered] counts the replies checked so far. Any wrong reply or a
+   dropped connection ends the loop with the reason. *)
+let load_connection port ~base ~stop ~answered =
+  try
+    let _, ic, oc = connect port in
+    Fun.protect ~finally:(fun () -> close_out_noerr oc) @@ fun () ->
+    let k = ref 0 in
+    while not (Atomic.get stop) do
+      for i = !k to !k + 15 do
+        output_string oc (load_request ~id:(base + i) i);
+        output_char oc '\n'
+      done;
+      flush oc;
+      for i = !k to !k + 15 do
+        let r = parse_exn (input_line ic) in
+        if id_of r <> base + i then
+          failwith (Printf.sprintf "reply %d out of order" (base + i));
+        if is_ok r <> (i mod 4 <> 3) then
+          failwith (Printf.sprintf "reply %d: wrong status" (base + i))
+      done;
+      k := !k + 16;
+      Atomic.set answered !k
+    done;
+    None
+  with e -> Some (Printexc.to_string e)
+
+let test_serve_process_watch () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let dir = Filename.temp_dir "lapis_serve" "" in
+  let live = Filename.concat dir "live.idx" in
+  let log = Filename.concat dir "serve.err" in
+  let original = image_exn (index ()) in
+  publish live original;
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let err = Unix.openfile log [ Unix.O_WRONLY; Unix.O_CREAT ] 0o600 in
+  let pid =
+    Fun.protect ~finally:(fun () -> Unix.close devnull; Unix.close err)
+    @@ fun () ->
+    Unix.create_process lapis_exe
+      [| lapis_exe; "serve"; "--snapshot"; live; "--tcp"; "0"; "--watch" |]
+      devnull devnull err
+  in
+  let status = ref None in
+  let reap flags =
+    match Unix.waitpid flags pid with
+    | 0, _ -> ()
+    | _, st -> status := Some st
+  in
+  let stop = Atomic.make false in
+  let threads = ref [] in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      if !status = None then begin
+        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+        reap []
+      end;
+      (* the child is gone, so a load thread still reading sees EOF *)
+      List.iter Thread.join !threads;
+      Array.iter
+        (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+        (Sys.readdir dir);
+      Sys.rmdir dir)
+  @@ fun () ->
+  (* complete lines only: the last one may still be half written *)
+  let stderr_lines () =
+    In_channel.with_open_bin log In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.rev |> List.tl |> List.rev
+  in
+  let wait_line what pred =
+    let deadline = Unix.gettimeofday () +. 10.0 in
+    let rec go () =
+      let lines = stderr_lines () in
+      match List.find_opt pred lines with
+      | Some l -> l
+      | None ->
+        reap [ Unix.WNOHANG ];
+        if !status <> None || Unix.gettimeofday () > deadline then
+          Alcotest.failf "%s: no line within 10 s (child %s); stderr:\n%s"
+            what
+            (if !status = None then "running" else "exited")
+            (String.concat "\n" lines);
+        Thread.delay 0.02;
+        go ()
+    in
+    go ()
+  in
+  let serving = wait_line "serving" (String.starts_with ~prefix:"# serving") in
+  let port =
+    Scanf.sscanf serving "# serving line-delimited JSON on 127.0.0.1:%d"
+      Fun.id
+  in
+  let answered = Array.init 2 (fun _ -> Atomic.make 0) in
+  let errors = Array.make 2 None in
+  threads :=
+    List.init 2 (fun c ->
+        Thread.create
+          (fun () ->
+            errors.(c) <-
+              load_connection port ~base:(c * 1_000_000) ~stop
+                ~answered:answered.(c))
+          ());
+  let _, probe_ic, probe_oc = connect port in
+  let probe_id = ref 0 in
+  let top1 () =
+    incr probe_id;
+    output_string probe_oc
+      (Printf.sprintf {|{"op":"top","n":1,"id":%d}|} !probe_id);
+    output_char probe_oc '\n';
+    flush probe_oc;
+    let r = parse_exn (input_line probe_ic) in
+    Alcotest.(check bool) "probe ok" true (is_ok r);
+    top1_nr r
+  in
+  let reloaded epoch =
+    String.equal (Printf.sprintf "# reloaded %s (epoch %d)" live epoch)
+  in
+  let original_top = top1 () in
+  if original_top = 7 then
+    Alcotest.fail "the original world already answers 7; the swap is untested";
+  publish live (image_exn (other_index ()));
+  ignore (wait_line "epoch 1" (reloaded 1));
+  Alcotest.(check int) "epoch 1 answers the new world" 7 (top1 ());
+  publish live (String.sub original 0 (String.length original / 2));
+  ignore
+    (wait_line "failed reload"
+       (String.starts_with ~prefix:("# reload of " ^ live ^ " failed")));
+  Alcotest.(check int) "a failed reload keeps the old index" 7 (top1 ());
+  publish live original;
+  ignore (wait_line "epoch 2" (reloaded 2));
+  Alcotest.(check int) "epoch 2 answers the original again" original_top
+    (top1 ());
+  (* both load connections answer a full window after the last reload *)
+  let after = Array.map Atomic.get answered in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while
+    Array.exists2 (fun a n -> Atomic.get a <= n) answered after
+    && Array.for_all Option.is_none errors
+    && Unix.gettimeofday () < deadline
+  do
+    Thread.delay 0.01
+  done;
+  Atomic.set stop true;
+  List.iter Thread.join !threads;
+  threads := [];
+  Array.iteri
+    (fun c -> function
+      | Some msg -> Alcotest.failf "load connection %d: %s" c msg
+      | None -> ())
+    errors;
+  Array.iteri
+    (fun c n ->
+      if Atomic.get answered.(c) <= n then
+        Alcotest.failf "load connection %d stalled after the last reload" c)
+    after;
+  close_out_noerr probe_oc;
+  Unix.kill pid Sys.sigint;
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while !status = None && Unix.gettimeofday () < deadline do
+    reap [ Unix.WNOHANG ];
+    if !status = None then Thread.delay 0.02
+  done;
+  (match !status with
+   | Some (Unix.WEXITED 0) -> ()
+   | Some (Unix.WEXITED n) -> Alcotest.failf "serve exited %d on SIGINT" n
+   | Some (Unix.WSIGNALED s | Unix.WSTOPPED s) ->
+     Alcotest.failf "serve ended by signal %d on SIGINT" s
+   | None -> Alcotest.fail "serve still running 10 s after SIGINT");
+  Alcotest.(check (option string)) "last stderr line"
+    (Some "# served 3 connections")
+    (List.nth_opt (List.rev (stderr_lines ())) 0)
+
 let () =
   Alcotest.run "server"
     [ ( "tcp",
@@ -638,5 +845,7 @@ let () =
         [ Alcotest.test_case "swaps answers and cache" `Quick
             test_reload_swaps_answers;
           Alcotest.test_case "under concurrent load" `Quick
-            test_reload_under_load ] )
+            test_reload_under_load;
+          Alcotest.test_case "serve --watch process" `Quick
+            test_serve_process_watch ] )
     ]
